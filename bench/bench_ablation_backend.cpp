@@ -1,8 +1,7 @@
 // Ablation: microkernel backend — runtime JIT (constants baked into code)
-// vs compiled intrinsics with runtime blocking parameters vs scalar. The gap
-// between JIT and compiled is the payoff of runtime code specialization the
-// paper argues for (Section I: statically-tuned kernels "do not achieve the
-// highest performance").
+// vs the scalar reference loops. The gap is the payoff of runtime code
+// specialization the paper argues for (Section I: statically-tuned kernels
+// "do not achieve the highest performance").
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -28,7 +27,6 @@ static void BM_Backend(benchmark::State& state) {
       benchmark::Counter::kIsRate);
   switch (pref) {
     case kernels::BackendPref::jit: state.SetLabel("jit"); break;
-    case kernels::BackendPref::compiled: state.SetLabel("compiled"); break;
     case kernels::BackendPref::scalar: state.SetLabel("scalar"); break;
     default: state.SetLabel("auto");
   }
@@ -36,7 +34,6 @@ static void BM_Backend(benchmark::State& state) {
 
 BENCHMARK(BM_Backend)
     ->Arg(static_cast<int>(kernels::BackendPref::jit))
-    ->Arg(static_cast<int>(kernels::BackendPref::compiled))
     ->Arg(static_cast<int>(kernels::BackendPref::scalar))
     ->Unit(benchmark::kMillisecond);
 

@@ -1,5 +1,5 @@
-// Figures 6 and 7: ResNet-50 on Knights Mill. We do not have a KNM, so per
-// DESIGN.md the *shape* of these figures is reproduced two ways:
+// Figures 6 and 7: ResNet-50 on Knights Mill. Without a KNM host, the
+// *shape* of these figures is reproduced two ways:
 //   1. measured host GFLOPS per layer/pass (relative ordering), and
 //   2. the KNM/SKX roofline projections of Section III-B, which explain the
 //      figures' key contrast: 1x1 layers drop to ~55% of peak on KNM (L2

@@ -56,7 +56,7 @@ void check_bwd_geometry(const core::ConvLayer& l,
 struct ConvLayer::BwdGemmPlan {
   int qc = 0;      ///< main chunk of Q pixels per GEMM call
   int q_rem = 0;   ///< remainder chunk
-  // JIT kernels (null when the backend is not JIT-capable; the compiled
+  // JIT kernels (null when the backend is not JIT-capable; the
   // gemm_blocked path is used instead).
   std::unique_ptr<jit::GemmKernel> main, rem;
   int ldc = 0;
@@ -70,8 +70,7 @@ void ConvLayer::setup_backward() {
   bwd_wt_ = tensor::WtTensor(cb_, kb_, p.R, p.S, vlen_);
 
   const bool jit_capable = opt_.isa != platform::Isa::scalar &&
-                           opt_.backend != kernels::BackendPref::scalar &&
-                           opt_.backend != kernels::BackendPref::compiled;
+                           opt_.backend != kernels::BackendPref::scalar;
 
   // The algorithm choice (shape-forced, Section II-I) and its blocking
   // extents come from the resolved plan.

@@ -1,4 +1,4 @@
-// Synthetic dataset for GxM (DESIGN.md substitution for ImageNet/LMDB: the
+// Synthetic dataset for GxM (substitutes ImageNet/LMDB: the
 // paper's own layer benchmarks auto-generate inputs, and end-to-end img/s is
 // content-independent). Images are deterministic class-dependent patterns
 // plus noise, so training losses genuinely decrease — convergence tests rely

@@ -1,7 +1,7 @@
 // Topology description parser for GxM (paper Section II-L / Figure 3).
 //
 // The paper expresses DNN topologies in Protobuf text format; this repo uses
-// an equivalent minimal prototxt-style syntax (see DESIGN.md substitutions):
+// an equivalent minimal prototxt-style syntax instead of linking protobuf:
 //
 //   layer { name: "conv1" type: "Convolution" bottom: "data" top: "conv1"
 //           K: 64 R: 7 S: 7 stride: 2 pad: 3 }

@@ -37,6 +37,7 @@
 // through despite the const-void ABI type.
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <string>
 
@@ -67,6 +68,7 @@ struct CodecKernelDesc {
 
   std::string key() const;
   void validate() const;
+  auto operator<=>(const CodecKernelDesc&) const = default;
 };
 
 class CodecKernel {

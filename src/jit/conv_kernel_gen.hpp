@@ -25,6 +25,7 @@
 //                  expressed as a second kernel with different rbp/rbq.
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <string>
 
@@ -64,6 +65,8 @@ struct ConvKernelDesc {
   void validate() const;
   /// Max accumulators for the ISA (28 for AVX-512, 12 for AVX2).
   static int max_accumulators(platform::Isa isa);
+  /// Member-wise order: the registry's allocation-free cache key.
+  auto operator<=>(const ConvKernelDesc&) const = default;
 };
 
 /// A finalized, executable forward microkernel.

@@ -1,6 +1,6 @@
-// The microkernel ABI shared by every backend (JIT, compiled intrinsics,
-// scalar): six pointer arguments, as introduced when the paper extends the
-// kernel API for two-level prefetching (Section II-E):
+// The microkernel ABI shared by every backend (JIT, scalar): six pointer
+// arguments, as introduced when the paper extends the kernel API for
+// two-level prefetching (Section II-E):
 //   (in, wt, out)          — sub-tensors of the current invocation
 //   (pf_in, pf_wt, pf_out) — sub-tensors of a *future* invocation, prefetched
 //                            to L2 while this one computes.

@@ -13,25 +13,44 @@ constexpr Gpr kIn = Gpr::rdi;     // int16 input base
 constexpr Gpr kWt = Gpr::rsi;     // int16 weight base (pair-interleaved)
 constexpr Gpr kOut = Gpr::rdx;    // fp32 output base
 constexpr Gpr kScale = Gpr::rcx;  // const float* scale
+
+void check_isa_vlen(platform::Isa isa, int vlen) {
+  if (isa != platform::Isa::avx512_vnni)
+    throw std::invalid_argument("qconv JIT: isa must be avx512_vnni");
+  if (vlen != 16)
+    throw std::invalid_argument("qconv JIT: vlen must be 16 (AVX-512)");
+}
 }  // namespace
 
-std::string qconv_desc_key(const quant::QKernelDesc& d) {
+}  // namespace xconv::jit
+
+namespace xconv::quant {
+
+std::string QKernelDesc::key() const {
   std::ostringstream os;
-  os << "qconv/v" << d.vlen << "/rbq" << d.rbq << "/f" << d.r << "x" << d.s
-     << "/st" << d.stride_h << "x" << d.stride_w << "/irs" << d.in_row_stride
-     << "/ocs" << d.out_col_stride << "/c2" << d.c2_iters << "/cb"
-     << d.c_blocks << "." << d.in_cb_stride << "." << d.wt_cb_stride << "/fl"
-     << d.flush_interval << (d.beta0 ? "/b0" : "/b1");
+  os << "qconv/" << platform::isa_name(isa) << "/v" << vlen << "/rbq" << rbq
+     << "/f" << r << "x" << s << "/st" << stride_h << "x" << stride_w
+     << "/irs" << in_row_stride << "/ocs" << out_col_stride << "/c2"
+     << c2_iters << "/cb" << c_blocks << "." << in_cb_stride << "."
+     << wt_cb_stride << "/fl" << flush_interval << (beta0 ? "/b0" : "/b1");
   return os.str();
 }
 
-QConvKernel::QConvKernel(quant::QKernelDesc desc, CodeBuffer buf)
-    : desc_(desc), buf_(std::move(buf)), fn_(buf_.entry<qconv_fn>()) {}
+std::string QUpdKernelDesc::key() const {
+  std::ostringstream os;
+  os << "qupd/" << platform::isa_name(isa) << "/v" << vlen << "/bq2" << bq2
+     << "/rows" << rows << "." << in_row_stride << "." << dov_row_stride
+     << "/fl" << flush_interval << (beta0 ? "/b0" : "/b1");
+  return os.str();
+}
+
+}  // namespace xconv::quant
+
+namespace xconv::jit {
 
 std::unique_ptr<QConvKernel> generate_qconv_kernel(
     const quant::QKernelDesc& d) {
-  if (d.vlen != 16)
-    throw std::invalid_argument("qconv JIT: vlen must be 16 (AVX-512)");
+  check_isa_vlen(d.isa, d.vlen);
   if (d.rbq < 1 || d.rbq > 13)
     throw std::invalid_argument("qconv JIT: rbq outside [1, 13]");
   if (d.c2_iters < 1 || d.flush_interval < 1)
@@ -161,6 +180,65 @@ std::unique_ptr<QConvKernel> generate_qconv_kernel(
 
   buf.finalize();
   return std::make_unique<QConvKernel>(d, std::move(buf));
+}
+
+std::unique_ptr<QUpdKernel> generate_qupd_kernel(
+    const quant::QUpdKernelDesc& d) {
+  check_isa_vlen(d.isa, d.vlen);
+  if (d.bq2 < 1 || d.rows < 1 || d.flush_interval < 1)
+    throw std::invalid_argument("qupd JIT: bad bq2/rows/flush");
+  if (d.rows > 1 && (d.in_row_stride < d.bq2 * 2 * d.vlen ||
+                     d.dov_row_stride < d.bq2 * 2 * d.vlen))
+    throw std::invalid_argument("qupd JIT: row strides overlap the rows");
+
+  const VecWidth vw = VecWidth::zmm512;
+  constexpr int kRows = 16;  // dW rows = input channels of the block
+  // Register plan: iacc[c] = zmm0..15, dO vectors zmm16..19 (rotating),
+  // cvt scratch zmm20, dW row zmm21, scale zmm31.
+  const Vec cvt{20}, row{21}, scale{31};
+  const int first_g = 16, n_g = 4;
+  const std::size_t steps = static_cast<std::size_t>(d.bq2) * d.rows;
+  const std::size_t cap = 4096 + steps * (kRows + 1) * 16 +
+                          (steps / d.flush_interval + 1) * kRows * 32;
+  CodeBuffer buf(cap);
+  Assembler as(buf);
+
+  as.vbroadcastss(vw, scale, Mem{kScale, 0});
+  for (int c = 0; c < kRows; ++c) as.vxorps(vw, Vec{c}, Vec{c}, Vec{c});
+  if (d.beta0) {
+    // Zero dW first so every flush is the same load-fma-store; fma(x, s, +0)
+    // then rounds exactly like the scalar reference's first flush.
+    for (int c = 0; c < kRows; ++c)
+      as.vmovups_store(vw, Mem{kOut, c * kRows * 4}, Vec{0});
+  }
+  int chain = 0;
+  auto emit_flush = [&]() {
+    chain = 0;
+    for (int c = 0; c < kRows; ++c) {
+      as.vmovups_load(vw, row, Mem{kOut, c * kRows * 4});
+      as.vcvtdq2ps(cvt, Vec{c});
+      as.vfmadd231ps(vw, row, cvt, scale);
+      as.vmovups_store(vw, Mem{kOut, c * kRows * 4}, row);
+      as.vxorps(vw, Vec{c}, Vec{c}, Vec{c});
+    }
+  };
+  for (int row = 0; row < d.rows; ++row) {
+    for (int q2 = 0; q2 < d.bq2; ++q2) {
+      // Both operands advance 64 bytes per pair-step: [q2][k][2] dO and
+      // [q2][c][2] input, one dword (channel pair) per row broadcast.
+      const int in_off = row * d.in_row_stride * 2 + q2 * 64;
+      const Vec gv{first_g + q2 % n_g};
+      as.vmovups_load(vw, gv, Mem{kWt, row * d.dov_row_stride * 2 + q2 * 64});
+      for (int c = 0; c < kRows; ++c)
+        as.vpdpwssd_bcast(Vec{c}, gv, Mem{kIn, in_off + c * 4});
+      if (++chain == d.flush_interval) emit_flush();
+    }
+  }
+  emit_flush();  // unconditional, like the scalar reference's final fma
+  as.ret();
+
+  buf.finalize();
+  return std::make_unique<QUpdKernel>(d, std::move(buf));
 }
 
 }  // namespace xconv::jit

@@ -9,9 +9,8 @@
 //     `flush_interval` channel-pair steps (the restricted accumulation
 //     chain), via vcvtdq2ps + vfmadd231ps against a broadcast scale.
 //
-// ABI (reuses the 6-pointer conv_fn shape): arguments are reinterpreted as
-//   (const int16_t* in, const int16_t* wt, float* out,
-//    const float* scale_ptr /*pf_in slot*/, unused, unused).
+// ABI: (const int16_t* in, const int16_t* wt, float* out,
+//       const float* scale_ptr).
 // The scale is read at runtime so quantization scales may change every
 // training iteration without re-JIT-ing.
 #pragma once
@@ -25,35 +24,46 @@
 
 namespace xconv::jit {
 
-using qconv_fn = void (*)(const std::int16_t* in, const std::int16_t* wt,
+/// Shared int16 ABI: (a, b, out, &scale) — fwd reads (in, wt), upd reads the
+/// pair-interleaved (in, dO) and accumulates into dW.
+using qconv_fn = void (*)(const std::int16_t* a, const std::int16_t* b,
                           float* out, const float* scale);
 
-class QConvKernel {
+template <class Desc>
+class QKernel {
  public:
-  QConvKernel(quant::QKernelDesc desc, CodeBuffer buf);
+  QKernel(Desc desc, CodeBuffer buf)
+      : desc_(desc), buf_(std::move(buf)), fn_(buf_.entry<qconv_fn>()) {}
 
-  void operator()(const std::int16_t* in, const std::int16_t* wt, float* out,
+  void operator()(const std::int16_t* a, const std::int16_t* b, float* out,
                   float scale) const {
-    fn_(in, wt, out, &scale);
+    fn_(a, b, out, &scale);
   }
-  qconv_fn fn() const { return fn_; }
-  const quant::QKernelDesc& desc() const { return desc_; }
+  const Desc& desc() const { return desc_; }
   std::size_t code_size() const { return buf_.size(); }
   const std::uint8_t* code() const { return buf_.data(); }
 
  private:
-  quant::QKernelDesc desc_;
+  Desc desc_;
   CodeBuffer buf_;
   qconv_fn fn_;
 };
 
-/// Cache key for a descriptor (QConvLayer caches generated kernels).
-std::string qconv_desc_key(const quant::QKernelDesc& d);
+using QConvKernel = QKernel<quant::QKernelDesc>;
+using QUpdKernel = QKernel<quant::QUpdKernelDesc>;
 
-/// Emit and finalize an int16 forward microkernel. Requires AVX512-VNNI on
-/// the host (call sites gate on platform::max_isa()). Throws
-/// std::invalid_argument for unsupported descriptors (vlen != 16, rbq > 13).
+/// Emit and finalize an int16 forward microkernel. Throws
+/// std::invalid_argument for unsupported descriptors (isa below
+/// avx512_vnni, vlen != 16, rbq > 13).
 std::unique_ptr<QConvKernel> generate_qconv_kernel(
     const quant::QKernelDesc& desc);
+
+/// Emit and finalize an int16 weight-update microkernel: bq2 pair-steps,
+/// each one 64-byte dO load plus one vpdpwssd (embedded dword broadcast of
+/// the interleaved input pair) per channel row; the 16 int32 accumulators
+/// stay in zmm0..15 and every flush adds them into dW in memory
+/// (vcvtdq2ps + vfmadd231ps). Same throw contract as the forward generator.
+std::unique_ptr<QUpdKernel> generate_qupd_kernel(
+    const quant::QUpdKernelDesc& desc);
 
 }  // namespace xconv::jit

@@ -20,6 +20,7 @@
 // contribution to a dW block.
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <string>
 
@@ -48,6 +49,7 @@ struct UpdKernelDesc {
 
   std::string key() const;
   void validate() const;
+  auto operator<=>(const UpdKernelDesc&) const = default;
 };
 
 class UpdKernel {
@@ -87,6 +89,7 @@ struct ReduceKernelDesc {
 
   std::string key() const;
   void validate() const;
+  auto operator<=>(const ReduceKernelDesc&) const = default;
 };
 
 class ReduceKernel {

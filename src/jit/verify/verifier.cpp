@@ -466,10 +466,28 @@ Contract contract_for(const quant::QKernelDesc& d) {
       static_cast<std::int64_t>(d.rbq - 1) * ocs * 4 +
       static_cast<std::int64_t>(d.vlen) * 4;
   Contract c;
-  c.isa = platform::Isa::avx512_vnni;  // qconv kernels are VNNI by definition
+  c.isa = d.isa;
   c.regions = {{"in", kRdi, in_top, 0, false},
                {"wt", kRsi, wt_top, 0, false},
                {"out", kRdx, out_top, 0, true},
+               {"scale", kRcx, 4, 0, false}};
+  return c;
+}
+
+Contract contract_for(const quant::QUpdKernelDesc& d) {
+  // Both operands are pair-interleaved: per row, bq2 steps of 2 * vlen
+  // int16 each; rows sit their row stride apart.
+  const std::int64_t pairs_bytes =
+      static_cast<std::int64_t>(d.bq2) * d.vlen * 4;
+  const std::int64_t last_row = d.rows - 1;
+  Contract c;
+  c.isa = d.isa;
+  c.regions = {{"in", kRdi, last_row * d.in_row_stride * 2 + pairs_bytes, 0,
+                false},
+               {"dO", kRsi, last_row * d.dov_row_stride * 2 + pairs_bytes, 0,
+                false},
+               {"dW", kRdx, static_cast<std::int64_t>(d.vlen) * d.vlen * 4, 0,
+                true},
                {"scale", kRcx, 4, 0, false}};
   return c;
 }

@@ -27,7 +27,7 @@
 //                  rbx/rbp/r12..r15 (and rsp) must hold their entry values.
 //
 // Wired into kernel construction (KernelRegistry wrappers, the backward
-// GEMM site, QConvLayer) behind XCONV_VERIFY_JIT — on by default in Debug
+// GEMM site) behind XCONV_VERIFY_JIT — on by default in Debug
 // builds, opt-in (CI) for Release. Verification runs once per generated
 // kernel at insert time; steady-state dispatch cost is zero.
 #pragma once
@@ -82,6 +82,7 @@ Contract contract_for(const ReduceKernelDesc& d);
 Contract contract_for(const CodecKernelDesc& d);
 Contract contract_for(const GemmKernelDesc& d);
 Contract contract_for(const quant::QKernelDesc& d);
+Contract contract_for(const quant::QUpdKernelDesc& d);
 
 /// Run all four passes; throws VerifyError with a diagnostic that includes
 /// the offending instruction and a disassembly window. `what` labels the

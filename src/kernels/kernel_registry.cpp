@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "jit/qconv_kernel_gen.hpp"
 #include "jit/verify/verifier.hpp"
 #include "platform/envparse.hpp"
 #include "quant/quantize.hpp"
@@ -142,99 +143,82 @@ class JitCodecKernel final : public CodecMicrokernel {
   std::unique_ptr<jit::CodecKernel> k_;
 };
 
-bool isa_is_simd(platform::Isa isa) {
-  return isa == platform::Isa::avx2 || isa == platform::Isa::avx512 ||
-         isa == platform::Isa::avx512_vnni;
-}
-
-bool host_supports(platform::Isa isa) {
-  return static_cast<int>(platform::max_isa()) >= static_cast<int>(isa);
-}
-
-std::unique_ptr<ConvMicrokernel> build_conv(const jit::ConvKernelDesc& d,
-                                            BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return std::make_unique<JitConvKernel>(d);
-    case BackendPref::compiled: {
-      std::unique_ptr<ConvMicrokernel> k;
-#if XCONV_BUILD_AVX512
-      if (d.vlen == 16 && simd_ok) k = make_conv_avx512(d);
-#endif
-#if XCONV_BUILD_AVX2
-      if (!k && d.vlen == 8 && simd_ok) k = make_conv_avx2(d);
-#endif
-      if (!k) k = make_conv_scalar(d);
-      return k;
-    }
-    case BackendPref::scalar:
-      return make_conv_scalar(d);
-    case BackendPref::auto_pick:
-      break;
+// int16 blocks (fwd and upd share one ABI; see QMicrokernel).
+template <class Desc>
+class JitQKernel final : public QMicrokernel<Desc> {
+ public:
+  explicit JitQKernel(const Desc& d) : QMicrokernel<Desc>(d), k_(generate(d)) {
+    verified(k_, d);
   }
-  if (simd_ok) return std::make_unique<JitConvKernel>(d);
-  return build_conv(d, BackendPref::compiled);
-}
 
-std::unique_ptr<UpdMicrokernel> build_upd(const jit::UpdKernelDesc& d,
-                                          BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return std::make_unique<JitUpdKernel>(d);
-    case BackendPref::compiled:
-    case BackendPref::scalar:
-      return make_upd_scalar(d);
-    case BackendPref::auto_pick:
-      break;
+  void run(const std::int16_t* a, const std::int16_t* b, float* out,
+           float scale) const override {
+    (*k_)(a, b, out, scale);
   }
-  if (simd_ok) return std::make_unique<JitUpdKernel>(d);
-  return make_upd_scalar(d);
-}
+  Backend backend() const override { return Backend::jit; }
 
-std::unique_ptr<ReduceMicrokernel> build_reduce(const jit::ReduceKernelDesc& d,
-                                                BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return make_reduce_jit(d);
-    case BackendPref::compiled:
-    case BackendPref::scalar:
-      return make_reduce_scalar(d);
-    case BackendPref::auto_pick:
-      break;
+ private:
+  static auto generate(const quant::QKernelDesc& d) {
+    return jit::generate_qconv_kernel(d);
   }
-  if (simd_ok) return make_reduce_jit(d);
-  return make_reduce_scalar(d);
-}
+  static auto generate(const quant::QUpdKernelDesc& d) {
+    return jit::generate_qupd_kernel(d);
+  }
+  std::unique_ptr<jit::QKernel<Desc>> k_;
+};
 
-std::unique_ptr<CodecMicrokernel> build_codec(const jit::CodecKernelDesc& d,
-                                              BackendPref pref) {
-  // Codec generation is avx512-only (validate() rejects avx2), so the
-  // SIMD gate is stricter than for conv/upd.
-  const bool simd_ok = (d.isa == platform::Isa::avx512 ||
-                        d.isa == platform::Isa::avx512_vnni) &&
-                       host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return make_codec_jit(d);
-    case BackendPref::compiled:
-    case BackendPref::scalar:
-      return make_codec_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return make_codec_jit(d);
-  return make_codec_scalar(d);
+// Per-family wiring: the JIT wrapper, the scalar reference factory, and the
+// lowest ISA the family's generator emits for. A descriptor below that ISA,
+// or above what the host runs, resolves to the scalar reference.
+template <class Desc>
+struct Family;
+template <>
+struct Family<jit::ConvKernelDesc> {
+  using Jit = JitConvKernel;
+  static constexpr auto scalar = &make_conv_scalar;
+  static constexpr platform::Isa min_isa = platform::Isa::avx2;
+};
+template <>
+struct Family<jit::UpdKernelDesc> {
+  using Jit = JitUpdKernel;
+  static constexpr auto scalar = &make_upd_scalar;
+  static constexpr platform::Isa min_isa = platform::Isa::avx2;
+};
+template <>
+struct Family<jit::ReduceKernelDesc> {
+  using Jit = JitReduceKernel;
+  static constexpr auto scalar = &make_reduce_scalar;
+  static constexpr platform::Isa min_isa = platform::Isa::avx2;
+};
+template <>
+struct Family<jit::CodecKernelDesc> {
+  // Codec generation is avx512-only (validate() rejects avx2).
+  using Jit = JitCodecKernel;
+  static constexpr auto scalar = &make_codec_scalar;
+  static constexpr platform::Isa min_isa = platform::Isa::avx512;
+};
+template <>
+struct Family<quant::QKernelDesc> {
+  using Jit = JitQKernel<quant::QKernelDesc>;
+  static constexpr auto scalar = &make_qconv_scalar;
+  static constexpr platform::Isa min_isa = platform::Isa::avx512_vnni;
+};
+template <>
+struct Family<quant::QUpdKernelDesc> {
+  using Jit = JitQKernel<quant::QUpdKernelDesc>;
+  static constexpr auto scalar = &make_qupd_scalar;
+  static constexpr platform::Isa min_isa = platform::Isa::avx512_vnni;
+};
+
+template <class Desc>
+auto build(const Desc& d, BackendPref pref) {
+  using F = Family<Desc>;
+  const bool jit_ok = d.isa >= F::min_isa && d.isa <= platform::max_isa();
+  if (pref == BackendPref::jit && !jit_ok)
+    throw std::invalid_argument(
+        "JIT backend needs a SIMD ISA the host supports");
+  if (pref == BackendPref::scalar || !jit_ok) return F::scalar(d);
+  return decltype(F::scalar(d))(std::make_unique<typename F::Jit>(d));
 }
 
 }  // namespace
@@ -242,7 +226,6 @@ std::unique_ptr<CodecMicrokernel> build_codec(const jit::CodecKernelDesc& d,
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::jit: return "jit";
-    case Backend::compiled: return "compiled";
     case Backend::scalar: return "scalar";
   }
   return "unknown";
@@ -253,7 +236,6 @@ const char* backend_name(Backend b) {
 BackendPref backend_pref_from_env() {
   if (const char* v = platform::env::get("XCONV_BACKEND")) {
     if (std::strcmp(v, "jit") == 0) return BackendPref::jit;
-    if (std::strcmp(v, "compiled") == 0) return BackendPref::compiled;
     if (std::strcmp(v, "scalar") == 0) return BackendPref::scalar;
   }
   return BackendPref::auto_pick;
@@ -269,84 +251,63 @@ KernelRegistry& KernelRegistry::instance() {
 // descriptors is not serialized. Two threads racing on the *same* key may both
 // build; emplace keeps the first and the loser's kernel is discarded — kernels
 // are immutable and returned pointers stay valid for the process lifetime
-// because entries are never erased. The two-phase locking is written out
-// inline (rather than through a helper taking the guarded map by reference)
-// so thread-safety analysis can see both critical sections.
-const ConvMicrokernel* KernelRegistry::conv(const jit::ConvKernelDesc& desc,
-                                            BackendPref pref) {
-  const std::string key =
-      desc.key() + "#" + std::to_string(static_cast<int>(pref));
+// because entries are never erased. Both critical sections touch caches_
+// directly under the lock, so thread-safety analysis sees each access.
+template <class Kernel, class Desc>
+const Kernel* KernelRegistry::lookup(const Desc& desc, BackendPref pref) {
+  using Map = Cache<Desc, Kernel>;
+  const typename Map::key_type key{desc, pref};
   {
     const platform::MutexLock lock(mu_);
-    auto it = conv_.find(key);
-    if (it != conv_.end()) {
+    const Map& cache = std::get<Map>(caches_);
+    if (const auto it = cache.find(key); it != cache.end()) {
       ++stats_.hits;
       return it->second.get();
     }
     ++stats_.misses;
   }
-  auto built = build_conv(desc, pref);  // may throw; cache stays untouched
+  // build() may throw; the cache is left intact.
+  std::unique_ptr<Kernel> built = build(desc, pref);
   const platform::MutexLock lock(mu_);
-  return conv_.emplace(key, std::move(built)).first->second.get();
+  return std::get<Map>(caches_)
+      .emplace(key, std::move(built))
+      .first->second.get();
+}
+
+const ConvMicrokernel* KernelRegistry::conv(const jit::ConvKernelDesc& desc,
+                                            BackendPref pref) {
+  return lookup<ConvMicrokernel>(desc, pref);
 }
 
 const UpdMicrokernel* KernelRegistry::upd(const jit::UpdKernelDesc& desc,
                                           BackendPref pref) {
-  const std::string key =
-      desc.key() + "#" + std::to_string(static_cast<int>(pref));
-  {
-    const platform::MutexLock lock(mu_);
-    auto it = upd_.find(key);
-    if (it != upd_.end()) {
-      ++stats_.hits;
-      return it->second.get();
-    }
-    ++stats_.misses;
-  }
-  auto built = build_upd(desc, pref);  // may throw; cache stays untouched
-  const platform::MutexLock lock(mu_);
-  return upd_.emplace(key, std::move(built)).first->second.get();
+  return lookup<UpdMicrokernel>(desc, pref);
 }
 
 const ReduceMicrokernel* KernelRegistry::reduce(
     const jit::ReduceKernelDesc& desc, BackendPref pref) {
-  const std::string key =
-      desc.key() + "#" + std::to_string(static_cast<int>(pref));
-  {
-    const platform::MutexLock lock(mu_);
-    auto it = reduce_.find(key);
-    if (it != reduce_.end()) {
-      ++stats_.hits;
-      return it->second.get();
-    }
-    ++stats_.misses;
-  }
-  auto built = build_reduce(desc, pref);  // may throw; cache stays untouched
-  const platform::MutexLock lock(mu_);
-  return reduce_.emplace(key, std::move(built)).first->second.get();
+  return lookup<ReduceMicrokernel>(desc, pref);
 }
 
 const CodecMicrokernel* KernelRegistry::codec(const jit::CodecKernelDesc& desc,
                                               BackendPref pref) {
-  const std::string key =
-      desc.key() + "#" + std::to_string(static_cast<int>(pref));
-  {
-    const platform::MutexLock lock(mu_);
-    auto it = codec_.find(key);
-    if (it != codec_.end()) {
-      ++stats_.hits;
-      return it->second.get();
-    }
-    ++stats_.misses;
-  }
-  auto built = build_codec(desc, pref);  // may throw; cache stays untouched
-  const platform::MutexLock lock(mu_);
-  return codec_.emplace(key, std::move(built)).first->second.get();
+  return lookup<CodecMicrokernel>(desc, pref);
+}
+
+const QConvMicrokernel* KernelRegistry::qconv(const quant::QKernelDesc& desc,
+                                              BackendPref pref) {
+  return lookup<QConvMicrokernel>(desc, pref);
+}
+
+const QUpdMicrokernel* KernelRegistry::qupd(const quant::QUpdKernelDesc& desc,
+                                            BackendPref pref) {
+  return lookup<QUpdMicrokernel>(desc, pref);
 }
 
 std::size_t KernelRegistry::size() const {
   const platform::MutexLock lock(mu_);
-  return conv_.size() + upd_.size() + reduce_.size() + codec_.size();
+  return std::apply([](const auto&... c) { return (c.size() + ...); },
+                    caches_);
 }
 
 KernelRegistry::Stats KernelRegistry::stats() const {
@@ -357,14 +318,6 @@ KernelRegistry::Stats KernelRegistry::stats() const {
 void KernelRegistry::reset_stats() {
   const platform::MutexLock lock(mu_);
   stats_ = Stats{};
-}
-
-std::unique_ptr<ConvMicrokernel> make_conv_jit(const jit::ConvKernelDesc& d) {
-  return std::make_unique<JitConvKernel>(d);
-}
-
-std::unique_ptr<UpdMicrokernel> make_upd_jit(const jit::UpdKernelDesc& d) {
-  return std::make_unique<JitUpdKernel>(d);
 }
 
 std::unique_ptr<ReduceMicrokernel> make_reduce_jit(

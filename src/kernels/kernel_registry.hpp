@@ -4,16 +4,18 @@
 // JIT-compiling on first use and caching by descriptor key — the paper's
 // "runtime and on-demand driven compiling infrastructure" that tames the
 // combinatorial explosion of (layer shape x blocking x variant x fusion)
-// kernels (Sections I, II-H). The cache is shared process-wide and guarded by
-// a mutex; kernels are immutable after creation so lookups race-free after
-// insertion.
+// kernels (Sections I, II-H). Every family — fp32 conv/upd/reduce, the
+// gradient codecs and the int16 conv/upd blocks — is exactly a generated
+// kernel plus its scalar reference, resolved by one lookup. The cache is
+// shared process-wide and guarded by a mutex; kernels are immutable after
+// creation so lookups race-free after insertion.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <optional>
-#include <string>
-#include <unordered_map>
+#include <tuple>
+#include <utility>
 
 #include "kernels/microkernel.hpp"
 #include "platform/cpu.hpp"
@@ -23,9 +25,9 @@
 namespace xconv::kernels {
 
 /// Preferred backend resolution: `auto_pick` = JIT when the ISA supports it,
-/// otherwise compiled intrinsics, otherwise scalar. Explicit values force a
-/// family (used by tests and the backend ablation).
-enum class BackendPref { auto_pick, jit, compiled, scalar };
+/// otherwise scalar. Explicit values force a family (used by tests and the
+/// backend ablation).
+enum class BackendPref { auto_pick, jit, scalar };
 
 BackendPref backend_pref_from_env();  ///< honors XCONV_BACKEND
 
@@ -35,7 +37,7 @@ class KernelRegistry {
   static KernelRegistry& instance();
 
   /// Resolve a forward microkernel. For Backend::scalar any vlen is accepted;
-  /// JIT/compiled require the desc's ISA/vlen pairing to be valid.
+  /// JIT requires the desc's ISA/vlen pairing to be valid.
   const ConvMicrokernel* conv(const jit::ConvKernelDesc& desc,
                               BackendPref pref = BackendPref::auto_pick);
 
@@ -50,6 +52,14 @@ class KernelRegistry {
   /// Resolve a gradient-codec microkernel.
   const CodecMicrokernel* codec(const jit::CodecKernelDesc& desc,
                                 BackendPref pref = BackendPref::auto_pick);
+
+  /// Resolve an int16 forward block kernel (JIT needs desc.isa avx512_vnni).
+  const QConvMicrokernel* qconv(const quant::QKernelDesc& desc,
+                                BackendPref pref = BackendPref::auto_pick);
+
+  /// Resolve an int16 weight-update block kernel.
+  const QUpdMicrokernel* qupd(const quant::QUpdKernelDesc& desc,
+                              BackendPref pref = BackendPref::auto_pick);
 
   /// Number of distinct kernels JIT'ed/instantiated so far (for tests and
   /// the "kernels generated" statistics the benches print).
@@ -70,26 +80,35 @@ class KernelRegistry {
 
  private:
   KernelRegistry() = default;
-  // Guards the cache maps only. Kernel *construction* (JIT compile) runs
-  // outside the lock — see conv()/upd() — so the returned pointers are the
-  // unguarded, immutable payloads; the maps holding them are the shared state.
+
+  /// One family's cache, keyed by (descriptor, backend preference) under the
+  /// descriptors' member-wise order: a hit compares fields, never formats a
+  /// key string, so the hit path does not allocate.
+  template <class Desc, class Kernel>
+  using Cache =
+      std::map<std::pair<Desc, BackendPref>, std::unique_ptr<Kernel>>;
+
+  /// The one two-phase lookup every family goes through (see the .cpp).
+  template <class Kernel, class Desc>
+  const Kernel* lookup(const Desc& desc, BackendPref pref) XCONV_EXCLUDES(mu_);
+
+  // Guards the caches only. Kernel *construction* (JIT compile) runs outside
+  // the lock — see lookup() — so the returned pointers are the unguarded,
+  // immutable payloads; the maps holding them are the shared state.
   mutable platform::Mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<ConvMicrokernel>> conv_
-      XCONV_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<UpdMicrokernel>> upd_
-      XCONV_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<ReduceMicrokernel>> reduce_
-      XCONV_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<CodecMicrokernel>> codec_
-      XCONV_GUARDED_BY(mu_);
+  std::tuple<Cache<jit::ConvKernelDesc, ConvMicrokernel>,
+             Cache<jit::UpdKernelDesc, UpdMicrokernel>,
+             Cache<jit::ReduceKernelDesc, ReduceMicrokernel>,
+             Cache<jit::CodecKernelDesc, CodecMicrokernel>,
+             Cache<quant::QKernelDesc, QConvMicrokernel>,
+             Cache<quant::QUpdKernelDesc, QUpdMicrokernel>>
+      caches_ XCONV_GUARDED_BY(mu_);
   Stats stats_ XCONV_GUARDED_BY(mu_);
 };
 
 // Backend constructors (exposed for direct use in tests/ablation benches).
 std::unique_ptr<ConvMicrokernel> make_conv_scalar(const jit::ConvKernelDesc&);
 std::unique_ptr<UpdMicrokernel> make_upd_scalar(const jit::UpdKernelDesc&);
-std::unique_ptr<ConvMicrokernel> make_conv_jit(const jit::ConvKernelDesc&);
-std::unique_ptr<UpdMicrokernel> make_upd_jit(const jit::UpdKernelDesc&);
 std::unique_ptr<ReduceMicrokernel> make_reduce_scalar(
     const jit::ReduceKernelDesc&);
 std::unique_ptr<ReduceMicrokernel> make_reduce_jit(
@@ -97,9 +116,7 @@ std::unique_ptr<ReduceMicrokernel> make_reduce_jit(
 std::unique_ptr<CodecMicrokernel> make_codec_scalar(
     const jit::CodecKernelDesc&);
 std::unique_ptr<CodecMicrokernel> make_codec_jit(const jit::CodecKernelDesc&);
-// Compiled intrinsics backends; return nullptr when the TU was not built for
-// the requested ISA.
-std::unique_ptr<ConvMicrokernel> make_conv_avx512(const jit::ConvKernelDesc&);
-std::unique_ptr<ConvMicrokernel> make_conv_avx2(const jit::ConvKernelDesc&);
+std::unique_ptr<QConvMicrokernel> make_qconv_scalar(const quant::QKernelDesc&);
+std::unique_ptr<QUpdMicrokernel> make_qupd_scalar(const quant::QUpdKernelDesc&);
 
 }  // namespace xconv::kernels

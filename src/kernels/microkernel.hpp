@@ -1,8 +1,6 @@
 // Backend-neutral microkernel handles. The convolution drivers in src/core
 // call microkernels through this interface so the same driver runs:
-//   * the runtime-JIT'ed kernels (the paper's contribution),
-//   * compiled intrinsics kernels (portable cross-check, and the unit of the
-//     JIT-vs-compiled ablation), and
+//   * the runtime-JIT'ed kernels (the paper's contribution), and
 //   * scalar kernels (correctness oracle, any vlen).
 #pragma once
 
@@ -12,11 +10,12 @@
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
+#include "quant/qconv_kernels.hpp"
 
 namespace xconv::kernels {
 
 /// Which implementation family backs a microkernel.
-enum class Backend { jit, compiled, scalar };
+enum class Backend { jit, scalar };
 
 const char* backend_name(Backend b);
 
@@ -98,6 +97,26 @@ class CodecMicrokernel {
   explicit CodecMicrokernel(const jit::CodecKernelDesc& d) : desc_(d) {}
   jit::CodecKernelDesc desc_;
 };
+
+/// int16 block-kernel handle (quant/qconv_kernels.hpp). The forward family
+/// (QKernelDesc: in, wt -> out) and the update family (QUpdKernelDesc:
+/// pair-interleaved in, dO -> dW) share one ABI; `scale` is the product of
+/// the two operands' quantization scales.
+template <class Desc>
+class QMicrokernel {
+ public:
+  virtual ~QMicrokernel() = default;
+  virtual void run(const std::int16_t* a, const std::int16_t* b, float* out,
+                   float scale) const = 0;
+  virtual Backend backend() const = 0;
+  const Desc& desc() const { return desc_; }
+
+ protected:
+  explicit QMicrokernel(const Desc& d) : desc_(d) {}
+  Desc desc_;
+};
+using QConvMicrokernel = QMicrokernel<quant::QKernelDesc>;
+using QUpdMicrokernel = QMicrokernel<quant::QUpdKernelDesc>;
 
 /// Scalar reference span for a codec op over elements [i0, i1): the bitwise
 /// ground truth every backend matches. `out_pos` is the compress-output

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "kernels/kernel_registry.hpp"
 #include "quant/bfloat16.hpp"
@@ -121,6 +122,22 @@ class ScalarCodecKernel final : public CodecMicrokernel {
   Backend backend() const override { return Backend::scalar; }
 };
 
+// int16 blocks: the quant:: scalar references behind the QMicrokernel ABI.
+template <class Desc>
+class ScalarQKernel final : public QMicrokernel<Desc> {
+ public:
+  explicit ScalarQKernel(const Desc& d) : QMicrokernel<Desc>(d) {}
+
+  void run(const std::int16_t* a, const std::int16_t* b, float* out,
+           float scale) const override {
+    if constexpr (std::is_same_v<Desc, quant::QKernelDesc>)
+      quant::qconv_block_scalar(this->desc_, a, b, out, scale);
+    else
+      quant::qupd_block_scalar(this->desc_, a, b, out, scale);
+  }
+  Backend backend() const override { return Backend::scalar; }
+};
+
 }  // namespace
 
 // Bitwise ground truth for the codec ops — these loops mirror the codec's
@@ -211,6 +228,16 @@ std::unique_ptr<ReduceMicrokernel> make_reduce_scalar(
 std::unique_ptr<CodecMicrokernel> make_codec_scalar(
     const jit::CodecKernelDesc& d) {
   return std::make_unique<ScalarCodecKernel>(d);
+}
+
+std::unique_ptr<QConvMicrokernel> make_qconv_scalar(
+    const quant::QKernelDesc& d) {
+  return std::make_unique<ScalarQKernel<quant::QKernelDesc>>(d);
+}
+
+std::unique_ptr<QUpdMicrokernel> make_qupd_scalar(
+    const quant::QUpdKernelDesc& d) {
+  return std::make_unique<ScalarQKernel<quant::QUpdKernelDesc>>(d);
 }
 
 }  // namespace xconv::kernels

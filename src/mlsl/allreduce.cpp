@@ -6,7 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "mlsl/envparse.hpp"
+#include "platform/envparse.hpp"
 #include "platform/timer.hpp"
 
 namespace xconv::mlsl {

@@ -1,5 +1,7 @@
 // In-process data-parallel communication substrate standing in for Intel
-// MLSL (DESIGN.md substitution; paper Section II-L / III-C). Ranks are
+// MLSL (paper Section II-L / III-C; the multi-node cluster is substituted by
+// in-process ranks, see the README section "Multi-node training and the
+// overlapped allreduce"). Ranks are
 // threads sharing an address space; the allreduce is a real chunked
 // ring-allreduce (reduce-scatter + allgather) with the same traffic pattern
 // a multi-node MLSL run performs, so gradient averaging across simulated
@@ -211,21 +213,6 @@ class Communicator {
   /// sees a partial round, but never a torn per-level split; see the
   /// counters_ member note).
   CommStats stats() const;
-
-  // --- deprecated shims (prefer stats()) ----------------------------------
-
-  /// Deprecated shim for stats().bulk_logical_bytes_per_rank.
-  std::size_t last_bytes_per_rank() const {
-    return stats().bulk_logical_bytes_per_rank;
-  }
-  /// Deprecated shim for stats().overlap_logical_bytes_per_rank.
-  std::size_t overlap_bytes_per_rank() const {
-    return stats().overlap_logical_bytes_per_rank;
-  }
-  /// Deprecated shim for stats().wire_bytes_per_rank.
-  std::size_t wire_bytes_per_rank() const {
-    return stats().wire_bytes_per_rank;
-  }
 
   // --- overlapped bucketized allreduce ------------------------------------
 

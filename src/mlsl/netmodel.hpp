@@ -1,9 +1,11 @@
 // Analytic interconnect model for the paper's testbed: a 16-node cluster on
 // a single 48-port Intel Omni-Path switch (Section III). Used to project the
-// Figure 9 strong-scaling series on hardware we do not have (DESIGN.md
-// substitution): ring-allreduce time per iteration, overlapped with the
-// backward pass as MLSL does ("the allreduce of the gradient weights in the
-// backward pass is completely overlapped").
+// Figure 9 strong-scaling series on hardware we do not have (the cluster is
+// substituted by this model plus in-process ranks; see the README section
+// "Multi-node training and the overlapped allreduce"): ring-allreduce time
+// per iteration, overlapped with the backward pass as MLSL does ("the
+// allreduce of the gradient weights in the backward pass is completely
+// overlapped").
 //
 // Since the topology-aware communicator redesign the model also describes a
 // *two-level* machine: a `Topology` groups `ranks_per_node` ranks onto each

@@ -5,7 +5,7 @@
 // anywhere else — so env handling cannot silently diverge per call site.
 // Two families:
 //
-//   * strict helpers (env_positive_long, env_nonneg_double, env_fraction)
+//   * strict helpers (positive_long, nonneg_double, fraction)
 //     throw std::invalid_argument naming the variable and the offending text;
 //     used for the XCONV_MN_* training knobs where a typo must fail loudly.
 //   * lenient `_or` helpers fall back to a default on missing/invalid values;

@@ -19,14 +19,18 @@ BenchStats time_runs(const std::function<void()>& fn, int runs, int warmup) {
   BenchStats s;
   s.runs = runs;
   if (samples.empty()) return s;
-  s.min_s = *std::min_element(samples.begin(), samples.end());
-  s.max_s = *std::max_element(samples.begin(), samples.end());
   double sum = 0;
   for (double v : samples) sum += v;
   s.mean_s = sum / samples.size();
   double var = 0;
   for (double v : samples) var += (v - s.mean_s) * (v - s.mean_s);
   s.stddev_s = samples.size() > 1 ? std::sqrt(var / (samples.size() - 1)) : 0;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  s.min_s = samples.front();
+  s.max_s = samples.back();
+  s.median_s = samples.size() % 2 ? samples[mid]
+                                   : 0.5 * (samples[mid - 1] + samples[mid]);
   return s;
 }
 

@@ -1,7 +1,7 @@
 // Wall-clock timing and simple benchmark statistics used by the bench
 // harness. The paper reports averages over 20 runs with ~3% run-to-run
-// variation; `BenchStats` records mean / min / stddev so benches can report
-// the same quantities.
+// variation; `BenchStats` records mean / median / min / stddev so benches can
+// report the same quantities (and a median that one slow run cannot skew).
 #pragma once
 
 #include <chrono>
@@ -26,6 +26,7 @@ class Timer {
 
 struct BenchStats {
   double mean_s = 0;
+  double median_s = 0;
   double min_s = 0;
   double max_s = 0;
   double stddev_s = 0;
@@ -33,6 +34,9 @@ struct BenchStats {
 
   double gflops(std::size_t flops) const {
     return mean_s > 0 ? static_cast<double>(flops) / mean_s / 1e9 : 0.0;
+  }
+  double median_gflops(std::size_t flops) const {
+    return median_s > 0 ? static_cast<double>(flops) / median_s / 1e9 : 0.0;
   }
   double best_gflops(std::size_t flops) const {
     return min_s > 0 ? static_cast<double>(flops) / min_s / 1e9 : 0.0;

@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "jit/verify/verifier.hpp"
-
 namespace xconv::quant {
 
 namespace {
@@ -24,33 +22,16 @@ int pick_rbq(int q, int cap) {
 }
 }  // namespace
 
-QConvLayer::QConvLayer(const core::ConvParams& p, int threads, bool use_vnni,
-                       int flush_interval)
-    : p_(p), flush_(flush_interval) {
+QConvLayer::QConvLayer(const core::ConvParams& p, int threads,
+                       int flush_interval, platform::Isa isa,
+                       kernels::BackendPref backend)
+    : p_(p), flush_(flush_interval), isa_(isa), backend_(backend) {
   p_.validate();
   if (p_.C % 2 != 0 && p_.C > 16)
     throw std::invalid_argument("QConvLayer: odd channel counts unsupported");
   cb_ = tensor::ceil_div(p_.C, vlen_);
   kb_ = tensor::ceil_div(p_.K, vlen_);
   threads_ = threads > 0 ? threads : omp_get_max_threads();
-  if (use_vnni) {
-    vnni_fwd_ = qconv_block_vnni();
-    vnni_upd_ = qupd_block_vnni();
-    // The JIT fwd kernel needs AVX512-VNNI too (it emits vpdpwssd).
-    use_jit_ = vnni_fwd_ != nullptr;
-  }
-}
-
-const jit::QConvKernel* QConvLayer::jit_kernel(const QKernelDesc& d) {
-  const std::string key = jit::qconv_desc_key(d);
-  auto it = jit_cache_.find(key);
-  if (it == jit_cache_.end()) {
-    it = jit_cache_.emplace(key, jit::generate_qconv_kernel(d)).first;
-    const jit::QConvKernel& k = *it->second;
-    jit::verify::maybe_verify(jit::verify::contract_for(d), k.code(),
-                              k.code_size(), key);
-  }
-  return it->second.get();
 }
 
 void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
@@ -64,10 +45,10 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
   const int rbq = pick_rbq(Q, 13);  // 13 = JIT register budget
   const int q_full = Q / rbq, q_rem = Q % rbq;
   const int n_qb = q_full + (q_rem > 0 ? 1 : 0);
-  const qconv_block_fn f = vnni_fwd_ ? vnni_fwd_ : &qconv_block_scalar;
   const float scale = qin.scale * qwt.scale;
 
   QKernelDesc d;
+  d.isa = isa_;
   d.vlen = v;
   d.r = p.R;
   d.s = p.S;
@@ -85,19 +66,16 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
   const int out_col = scatter_strided ? p_.stride_w * v : v;
   d.out_col_stride = out_col;
 
-  // Generate the JIT kernel variants outside the parallel region.
-  const jit::QConvKernel* jk_main = nullptr;
-  const jit::QConvKernel* jk_edge = nullptr;
-  if (use_jit_) {
-    QKernelDesc dm = d;
-    dm.rbq = rbq;
-    jk_main = jit_kernel(dm);
-    if (q_rem > 0) {
-      QKernelDesc de = d;
-      de.rbq = q_rem;
-      jk_edge = jit_kernel(de);
-    }
+  // Resolve the kernel variants outside the parallel region.
+  auto& reg = kernels::KernelRegistry::instance();
+  d.rbq = rbq;
+  const kernels::QConvMicrokernel* k_main = reg.qconv(d, backend_);
+  const kernels::QConvMicrokernel* k_edge = nullptr;
+  if (q_rem > 0) {
+    d.rbq = q_rem;
+    k_edge = reg.qconv(d, backend_);
   }
+  ran_ = k_main->backend();
 
   const std::int64_t total =
       static_cast<std::int64_t>(p.N) * out_kb * P * n_qb;
@@ -113,8 +91,6 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
 
     const bool q_edge = (q_rem > 0 && qb == q_full);
     const int oi0 = std::min(qb, q_full) * rbq;
-    QKernelDesc dd = d;
-    dd.rbq = q_edge ? q_rem : rbq;
 
     const std::int16_t* inp =
         qin.at_padded(n, 0, oj * p.stride_h, oi0 * p.stride_w);
@@ -123,11 +99,7 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
                    ? out.at_padded(n, kbi, oj * p_.stride_h,
                                    oi0 * p_.stride_w)
                    : out.at(n, kbi, oj, oi0);
-    const jit::QConvKernel* jk = q_edge ? jk_edge : jk_main;
-    if (jk != nullptr)
-      (*jk)(inp, wtp, o, scale);
-    else
-      f(dd, inp, wtp, o, scale);
+    (q_edge ? k_edge : k_main)->run(inp, wtp, o, scale);
   }
 }
 
@@ -187,34 +159,73 @@ void QConvLayer::update(const QActTensor& qin, const QActTensor& qgrad_out,
                         tensor::WtTensor& grad_wt) {
   const int v = vlen_;
   const int P = p_.P(), Q = p_.Q();
+  const int sw = p_.stride_w;
   const float scale = qin.scale * qgrad_out.scale;
-  const qupd_block_fn f = vnni_upd_ ? vnni_upd_ : &qupd_block_scalar;
-  const int q2 = Q / 2;       // full pixel pairs per row
-  const int q_tail = Q % 2;   // trailing odd pixel handled scalar
+  // Pixel pairs per row; an odd final pixel pairs with a zero dO pixel.
+  const int q2 = (Q + 1) / 2;
 
-  // "Transpose upfront": pair-interleave dO rows into [q2][k][2] — the
-  // memory-bound transformation the paper charges against the int16 update.
-  tensor::AlignedBuffer<std::int16_t> dov(static_cast<std::size_t>(p_.N) *
-                                          kb_ * P * (q2 > 0 ? q2 : 1) * v * 2);
-  const std::int64_t row_pairs = static_cast<std::int64_t>(q2) * v * 2;
+  // "Transpose upfront": pair-interleave dO rows into [q2][k][2] and input
+  // rows into [pair][c][2] — the memory-bound transformation the paper
+  // charges against the int16 update. Tap s pairs input columns
+  // (s + 2*sw*j, s + 2*sw*j + sw), so the input gets one copy per column
+  // phase s mod 2*sw; tap s starts at pair s / (2*sw) of its phase's copy.
+  const int period = 2 * sw;
+  const int phases = std::min(p_.S, period);
+  const int in_pairs = q2 + (p_.S - 1) / period;
+  const std::int64_t pair_elems = 2 * v;
+  const std::int64_t in_row =
+      static_cast<std::int64_t>(phases) * in_pairs * pair_elems;
+  const std::int64_t dov_row = static_cast<std::int64_t>(q2) * pair_elems;
+  tensor::AlignedBuffer<std::int16_t> inv(
+      static_cast<std::size_t>(p_.N) * cb_ * qin.hp * in_row);
+  tensor::AlignedBuffer<std::int16_t> dov(
+      static_cast<std::size_t>(p_.N) * kb_ * P * dov_row);
 #pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < p_.N; ++n) {
-    for (int kbi = 0; kbi < kb_; ++kbi) {
-      for (int oj = 0; oj < P; ++oj) {
-        const std::int16_t* src = qgrad_out.at(n, kbi, oj, 0);
+    for (int cbi = 0; cbi < cb_; ++cbi) {
+      for (int y = 0; y < qin.hp; ++y) {
         std::int16_t* dst =
-            dov.data() +
-            ((static_cast<std::int64_t>(n) * kb_ + kbi) * P + oj) * row_pairs;
-        for (int qq = 0; qq < q2; ++qq)
-          for (int k = 0; k < v; ++k) {
-            dst[(static_cast<std::int64_t>(qq) * v + k) * 2 + 0] =
-                src[(2 * qq) * v + k];
-            dst[(static_cast<std::int64_t>(qq) * v + k) * 2 + 1] =
-                src[(2 * qq + 1) * v + k];
-          }
+            inv.data() +
+            ((static_cast<std::int64_t>(n) * cb_ + cbi) * qin.hp + y) * in_row;
+        // Phase ph holds the Q pixels of each of its taps, the last tap
+        // starting 2 * ((S - 1 - ph) / period) pixels in.
+        for (int ph = 0; ph < phases; ++ph)
+          interleave_pairs(qin.at_padded(n, cbi, y, ph),
+                           Q + 2 * ((p_.S - 1 - ph) / period), sw, v,
+                           dst + ph * in_pairs * pair_elems);
       }
     }
   }
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
+  for (int n = 0; n < p_.N; ++n) {
+    for (int kbi = 0; kbi < kb_; ++kbi) {
+      for (int oj = 0; oj < P; ++oj)
+        interleave_pairs(
+            qgrad_out.at(n, kbi, oj, 0), Q, 1, v,
+            dov.data() +
+                ((static_cast<std::int64_t>(n) * kb_ + kbi) * P + oj) *
+                    dov_row);
+    }
+  }
+
+  // One call covers `rows` output rows (the largest divisor of P keeping a
+  // call at most 256 pair-steps), so the per-call dW flush is amortized.
+  int rows = 1;
+  for (int b = 1; b <= P; ++b)
+    if (P % b == 0 && b * q2 <= 256) rows = b;
+  QUpdKernelDesc ud;
+  ud.isa = isa_;
+  ud.vlen = v;
+  ud.bq2 = q2;
+  ud.rows = rows;
+  ud.flush_interval = flush_;
+  ud.in_row_stride = static_cast<int>(p_.stride_h * in_row);
+  ud.dov_row_stride = static_cast<int>(dov_row);
+  // Resolve both beta variants outside the parallel region.
+  auto& reg = kernels::KernelRegistry::instance();
+  const kernels::QUpdMicrokernel* k_first = reg.qupd(ud, backend_);
+  ud.beta0 = false;
+  const kernels::QUpdMicrokernel* k_acc = reg.qupd(ud, backend_);
 
   const std::int64_t tasks =
       static_cast<std::int64_t>(kb_) * cb_ * p_.R * p_.S;
@@ -227,44 +238,23 @@ void QConvLayer::update(const QActTensor& qin, const QActTensor& qgrad_out,
     rest /= p_.R;
     const int cbi = static_cast<int>(rest % cb_);
     const int kbi = static_cast<int>(rest / cb_);
+    const std::int64_t in_off =
+        (static_cast<std::int64_t>(s % period) * in_pairs + s / period) *
+        pair_elems;
 
     float* dw = grad_wt.at(kbi, cbi, r, s);
-    bool first = true;
     for (int n = 0; n < p_.N; ++n) {
-      for (int oj = 0; oj < P; ++oj) {
+      for (int oj0 = 0; oj0 < P; oj0 += rows) {
+        const int y = oj0 * p_.stride_h + r;
         const std::int16_t* irow =
-            qin.at_padded(n, cbi, oj * p_.stride_h + r, s);
-        if (q2 > 0) {
-          QUpdKernelDesc d;
-          d.vlen = v;
-          d.bq2 = q2;
-          d.stride_w = p_.stride_w;
-          d.flush_interval = flush_;
-          d.beta0 = first;
-          const std::int16_t* grow =
-              dov.data() +
-              ((static_cast<std::int64_t>(n) * kb_ + kbi) * P + oj) *
-                  row_pairs;
-          f(d, irow, grow, dw, scale);
-          first = false;
-        }
-        if (q_tail > 0) {
-          // Scalar tail for the odd final pixel.
-          const int oi = Q - 1;
-          const std::int16_t* px =
-              irow + static_cast<std::int64_t>(oi) * p_.stride_w * v;
-          const std::int16_t* g = qgrad_out.at(n, kbi, oj, oi);
-          if (first) {
-            for (int e = 0; e < v * v; ++e) dw[e] = 0.0f;
-            first = false;
-          }
-          for (int c = 0; c < v; ++c)
-            for (int k = 0; k < v; ++k)
-              dw[static_cast<std::int64_t>(c) * v + k] +=
-                  static_cast<float>(static_cast<std::int32_t>(px[c]) *
-                                     static_cast<std::int32_t>(g[k])) *
-                  scale;
-        }
+            inv.data() +
+            ((static_cast<std::int64_t>(n) * cb_ + cbi) * qin.hp + y) *
+                in_row +
+            in_off;
+        const std::int16_t* grow =
+            dov.data() +
+            ((static_cast<std::int64_t>(n) * kb_ + kbi) * P + oj0) * dov_row;
+        (n == 0 && oj0 == 0 ? k_first : k_acc)->run(irow, grow, dw, scale);
       }
     }
   }

@@ -5,17 +5,19 @@
 //
 // Supported shapes match what Figure 8 benchmarks (ResNet-50 layers 2-20):
 // stride 1 (any R, S) and 1x1 stride > 1. The backward pass uses the same
-// duality transforms as fp32; update pre-interleaves dO pixel pairs — the
-// "transpose upfront" overhead the paper cites for KNM's 4FMA/4VNNIW.
+// duality transforms as fp32; update pre-interleaves input and dO pixel
+// pairs — the "transpose upfront" overhead the paper cites for KNM's
+// 4FMA/4VNNIW. Kernels come from kernels::KernelRegistry (generated VNNI
+// code, or the scalar reference), resolved like ConvOptions resolves fp32
+// kernels: an ISA tier (default effective_isa(), which honors XCONV_ISA) and
+// a backend preference (default XCONV_BACKEND).
 #pragma once
 
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
+#include <optional>
 
 #include "core/conv_params.hpp"
-#include "jit/qconv_kernel_gen.hpp"
+#include "kernels/kernel_registry.hpp"
+#include "platform/cpu.hpp"
 #include "quant/qconv_kernels.hpp"
 #include "quant/quantize.hpp"
 #include "tensor/layout.hpp"
@@ -24,11 +26,15 @@ namespace xconv::quant {
 
 class QConvLayer {
  public:
-  explicit QConvLayer(const core::ConvParams& p, int threads = 0,
-                      bool use_vnni = true, int flush_interval = 64);
+  explicit QConvLayer(
+      const core::ConvParams& p, int threads = 0, int flush_interval = 64,
+      platform::Isa isa = platform::effective_isa(),
+      kernels::BackendPref backend = kernels::backend_pref_from_env());
 
   const core::ConvParams& params() const { return p_; }
-  bool vnni_active() const { return vnni_fwd_ != nullptr; }
+  /// Backend (jit or scalar) of the int16 kernels the last forward() or
+  /// backward() ran; empty before the first call.
+  std::optional<kernels::Backend> backend() const { return ran_; }
 
   /// out (fp32 blocked, same geometry as ConvLayer::make_output) =
   /// conv(qin, qwt) * qin.scale * qwt.scale.
@@ -50,13 +56,9 @@ class QConvLayer {
   int vlen_ = 16;
   int cb_ = 1, kb_ = 1;
   int flush_ = 8;
-  qconv_block_fn vnni_fwd_ = nullptr;
-  qupd_block_fn vnni_upd_ = nullptr;
-  bool use_jit_ = false;
-  /// JIT'ed int16 kernels cached by descriptor key (generated outside the
-  /// parallel region; lookups inside it are read-only).
-  std::map<std::string, std::unique_ptr<jit::QConvKernel>> jit_cache_;
-  const jit::QConvKernel* jit_kernel(const QKernelDesc& d);
+  platform::Isa isa_;
+  kernels::BackendPref backend_;
+  std::optional<kernels::Backend> ran_;
 
   void forward_generic(const QActTensor& qin, const QWtTensor& qwt,
                        tensor::ActTensor& out, const core::ConvParams& p,

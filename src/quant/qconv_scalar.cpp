@@ -1,6 +1,6 @@
 // Scalar reference for the int16 kernels: integer arithmetic identical to the
-// VNNI path (int32 pair-dot accumulate, periodic fp32 flush), so the two
-// implementations agree bit-for-bit.
+// generated VNNI kernels (int32 pair-dot accumulate, periodic fp32 flush), so
+// the two implementations agree bit-for-bit.
 #include "quant/qconv_kernels.hpp"
 
 #include <cmath>
@@ -36,8 +36,8 @@ void qconv_block_scalar(const QKernelDesc& d, const std::int16_t* in,
                   wrs[(static_cast<std::int64_t>(c2) * v + k) * 2 + 1];
               iacc += a0 * w0 + a1 * w1;
               if (++chain == d.flush_interval) {
-                // fmaf: single rounding, matching the VNNI path's
-                // _mm512_fmadd_ps so the two backends agree bit-for-bit.
+                // fmaf: single rounding, matching the generated kernel's
+                // vfmadd231ps so the two backends agree bit-for-bit.
                 facc = std::fmaf(static_cast<float>(iacc), scale, facc);
                 iacc = 0;
                 chain = 0;
@@ -60,26 +60,51 @@ void qupd_block_scalar(const QUpdKernelDesc& d, const std::int16_t* in,
       float facc = d.beta0 ? 0.0f : dw[static_cast<std::int64_t>(c) * v + k];
       std::int32_t iacc = 0;
       int chain = 0;
-      for (int q2 = 0; q2 < d.bq2; ++q2) {
-        // Input pixels 2*q2 and 2*q2+1 (stride applied), channel c.
-        const std::int32_t x0 =
-            in[(static_cast<std::int64_t>(2 * q2) * d.stride_w) * v + c];
-        const std::int32_t x1 =
-            in[(static_cast<std::int64_t>(2 * q2 + 1) * d.stride_w) * v + c];
-        // Pair-interleaved dO: [q2][k][2].
-        const std::int32_t g0 =
-            dov[(static_cast<std::int64_t>(q2) * v + k) * 2 + 0];
-        const std::int32_t g1 =
-            dov[(static_cast<std::int64_t>(q2) * v + k) * 2 + 1];
-        iacc += x0 * g0 + x1 * g1;
-        if (++chain == d.flush_interval) {
-          facc = std::fmaf(static_cast<float>(iacc), scale, facc);
-          iacc = 0;
-          chain = 0;
+      for (int row = 0; row < d.rows; ++row) {
+        const std::int16_t* irow =
+            in + static_cast<std::int64_t>(row) * d.in_row_stride;
+        const std::int16_t* grow =
+            dov + static_cast<std::int64_t>(row) * d.dov_row_stride;
+        for (int q2 = 0; q2 < d.bq2; ++q2) {
+          // Pair-interleaved input [q2][c][2] and dO [q2][k][2].
+          const std::int32_t x0 =
+              irow[(static_cast<std::int64_t>(q2) * v + c) * 2 + 0];
+          const std::int32_t x1 =
+              irow[(static_cast<std::int64_t>(q2) * v + c) * 2 + 1];
+          const std::int32_t g0 =
+              grow[(static_cast<std::int64_t>(q2) * v + k) * 2 + 0];
+          const std::int32_t g1 =
+              grow[(static_cast<std::int64_t>(q2) * v + k) * 2 + 1];
+          iacc += x0 * g0 + x1 * g1;
+          if (++chain == d.flush_interval) {
+            facc = std::fmaf(static_cast<float>(iacc), scale, facc);
+            iacc = 0;
+            chain = 0;
+          }
         }
       }
       facc = std::fmaf(static_cast<float>(iacc), scale, facc);
       dw[static_cast<std::int64_t>(c) * v + k] = facc;
+    }
+  }
+}
+
+void interleave_pairs(const std::int16_t* src, int pixels, int stride,
+                      int vlen, std::int16_t* dst) {
+  const std::int64_t step = static_cast<std::int64_t>(stride) * vlen;
+  for (int j = 0; 2 * j < pixels; ++j) {
+    const std::int16_t* p0 = src + 2 * j * step;
+    std::int16_t* o = dst + static_cast<std::int64_t>(j) * vlen * 2;
+    if (2 * j + 1 < pixels) {
+      for (int c = 0; c < vlen; ++c) {
+        o[2 * c + 0] = p0[c];
+        o[2 * c + 1] = p0[step + c];
+      }
+    } else {
+      for (int c = 0; c < vlen; ++c) {
+        o[2 * c + 0] = p0[c];
+        o[2 * c + 1] = 0;
+      }
     }
   }
 }

@@ -1,6 +1,6 @@
 // Byte-exact encoder tests. Golden encodings were cross-checked against
-// `objdump -D -b binary -m i386:x86-64` during development (see the
-// disassembly listing in the repository history / DESIGN.md).
+// `objdump -D -b binary -m i386:x86-64` during development; the in-tree
+// decoder (README "JIT verification", XCONV_JIT_DUMP) re-derives them.
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -1,10 +1,11 @@
-// JIT'ed int16 convolution microkernel vs the scalar reference (which the
-// VNNI intrinsics path is already tested against bit-for-bit).
+// JIT'ed int16 convolution microkernels (forward and weight update) vs the
+// scalar references, bit for bit.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "jit/qconv_kernel_gen.hpp"
+#include "kernels/kernel_registry.hpp"
 #include "platform/cpu.hpp"
 #include "test_helpers.hpp"
 
@@ -105,7 +106,111 @@ TEST(JitQConv, KeyDistinguishesVariants) {
   b.rbq = 4;
   auto c = a;
   c.beta0 = false;
-  EXPECT_NE(jit::qconv_desc_key(a), jit::qconv_desc_key(b));
-  EXPECT_NE(jit::qconv_desc_key(a), jit::qconv_desc_key(c));
-  EXPECT_EQ(jit::qconv_desc_key(a), jit::qconv_desc_key(a));
+  EXPECT_NE(a.key(), b.key());
+  EXPECT_NE(a.key(), c.key());
+  EXPECT_EQ(a.key(), a.key());
+}
+
+namespace {
+
+struct QUpdCase {
+  int bq2, stride, flush;
+  bool beta0;
+  int rows = 1;
+};
+
+void run_upd_case(const QUpdCase& c) {
+  if (!host_vnni()) GTEST_SKIP() << "host lacks AVX512-VNNI";
+  constexpr int v = 16;
+  // A raw blocked input row with the layer stride, and a dense dO row;
+  // both go through the library's pair interleave, as in QConvLayer.
+  const int q = 2 * c.bq2;
+  const std::size_t raw = static_cast<std::size_t>(q * c.stride) * v;
+  const std::size_t draw = static_cast<std::size_t>(q) * v;
+  const int pitch = c.bq2 * 2 * v + 32;  // interleaved row stride, padded
+  const auto row = random_i16(raw * c.rows, 4);
+  const auto drow = random_i16(draw * c.rows, 5);
+  std::vector<std::int16_t> in(static_cast<std::size_t>(pitch) * c.rows);
+  std::vector<std::int16_t> dov(in.size());
+  for (int rr = 0; rr < c.rows; ++rr) {
+    quant::interleave_pairs(row.data() + rr * raw, q, c.stride, v,
+                            in.data() + rr * pitch);
+    quant::interleave_pairs(drow.data() + rr * draw, q, 1, v,
+                            dov.data() + rr * pitch);
+  }
+
+  quant::QUpdKernelDesc d;
+  d.bq2 = c.bq2;
+  d.rows = c.rows;
+  d.in_row_stride = d.dov_row_stride = pitch;
+  d.flush_interval = c.flush;
+  d.beta0 = c.beta0;
+  auto dw_jit = xconv::testing::random_vec(static_cast<std::size_t>(v) * v, 6);
+  auto dw_ref = dw_jit;
+  const float scale = 2.71e-4f;
+  auto& reg = kernels::KernelRegistry::instance();
+  const auto* jk = reg.qupd(d, kernels::BackendPref::jit);
+  const auto* sk = reg.qupd(d, kernels::BackendPref::scalar);
+  ASSERT_EQ(jk->backend(), kernels::Backend::jit);
+  ASSERT_EQ(sk->backend(), kernels::Backend::scalar);
+  jk->run(in.data(), dov.data(), dw_jit.data(), scale);
+  sk->run(in.data(), dov.data(), dw_ref.data(), scale);
+  for (std::size_t i = 0; i < dw_ref.size(); ++i)
+    ASSERT_EQ(dw_ref[i], dw_jit[i]) << i;
+
+  // With one flush at the end, the interleaved kernel computes the strided
+  // integer sum exactly: check the layout against the raw rows.
+  if (c.beta0 && c.flush >= c.bq2 * c.rows) {
+    for (int ch = 0; ch < v; ++ch)
+      for (int k = 0; k < v; ++k) {
+        std::int32_t acc = 0;
+        for (int rr = 0; rr < c.rows; ++rr)
+          for (int px = 0; px < q; ++px)
+            acc += static_cast<std::int32_t>(
+                       row[rr * raw + (px * c.stride) * v + ch]) *
+                   drow[rr * draw + px * v + k];
+        ASSERT_EQ(dw_ref[ch * v + k], static_cast<float>(acc) * scale)
+            << ch << "," << k;
+      }
+  }
+}
+
+}  // namespace
+
+class JitQUpdSweep : public ::testing::TestWithParam<QUpdCase> {};
+
+TEST_P(JitQUpdSweep, MatchesScalarExactly) { run_upd_case(GetParam()); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, JitQUpdSweep,
+    ::testing::Values(QUpdCase{1, 1, 64, true}, QUpdCase{1, 2, 1, false},
+                      QUpdCase{3, 1, 2, false},   // flush !| steps
+                      QUpdCase{7, 2, 64, true},   // strided pairs
+                      QUpdCase{14, 1, 8, true},   // several flushes
+                      QUpdCase{14, 1, 64, false},
+                      QUpdCase{28, 2, 5, false},
+                      QUpdCase{56, 1, 64, true},
+                      QUpdCase{3, 1, 64, true, 7},   // rows, one flush
+                      QUpdCase{7, 2, 8, false, 4},   // flush spans rows
+                      QUpdCase{14, 1, 64, true, 9}));
+
+TEST(JitQConv, QUpdRejectsBadDescriptors) {
+  quant::QUpdKernelDesc d;
+  d.isa = platform::Isa::avx512;  // no vpdpwssd
+  EXPECT_THROW(jit::generate_qupd_kernel(d), std::invalid_argument);
+  d.isa = platform::Isa::avx512_vnni;
+  d.bq2 = 0;
+  EXPECT_THROW(jit::generate_qupd_kernel(d), std::invalid_argument);
+}
+
+TEST(JitQConv, QUpdKeyDistinguishesVariants) {
+  quant::QUpdKernelDesc a;
+  a.bq2 = 4;
+  auto b = a;
+  b.beta0 = false;
+  auto c = a;
+  c.isa = platform::Isa::scalar;
+  EXPECT_NE(a.key(), b.key());
+  EXPECT_NE(a.key(), c.key());
+  EXPECT_EQ(a.key(), a.key());
 }

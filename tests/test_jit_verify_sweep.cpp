@@ -276,7 +276,7 @@ TEST(JitVerifySweep, QConvKernels) {
         d.flush_interval = flush;
         try {
           verified += expect_verified(d, jit::generate_qconv_kernel(d),
-                                      jit::qconv_desc_key(d));
+                                      d.key());
         } catch (const std::invalid_argument&) {
         }
       }
@@ -293,9 +293,31 @@ TEST(JitVerifySweep, QConvKernels) {
     d.in_cb_stride = 64 * 64 * 16;
     d.wt_cb_stride = 16 * 16;
     verified += expect_verified(d, jit::generate_qconv_kernel(d),
-                                jit::qconv_desc_key(d));
+                                d.key());
   }
   EXPECT_GE(verified, 20);
+}
+
+TEST(JitVerifySweep, QUpdKernels) {
+  // Every ResNet-50 row length the int16 update runs (bq2 = Q / 2), crossed
+  // with flush intervals that land inside, on and past the row end.
+  int verified = 0;
+  for (const topo::LayerSpec& l : topo::resnet50_table1()) {
+    const core::ConvParams p = topo::table1_params(l, 4);
+    if (p.Q() < 2) continue;
+    for (int flush : {1, 7, 64})
+      for (bool beta0 : {true, false}) {
+        quant::QUpdKernelDesc d;
+        d.bq2 = p.Q() / 2;
+        d.rows = p.P() <= 8 ? p.P() : 2;
+        d.in_row_stride = (p.W + 2 * p.pad_w) * 32;
+        d.dov_row_stride = d.bq2 * 32;
+        d.flush_interval = flush;
+        d.beta0 = beta0;
+        verified += expect_verified(d, jit::generate_qupd_kernel(d), d.key());
+      }
+  }
+  EXPECT_GE(verified, 60);
 }
 
 TEST(JitVerifySweep, FuzzedConvDescriptors) {

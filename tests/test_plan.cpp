@@ -550,7 +550,7 @@ TEST(PlanSerialization, RoundTripEveryField) {
     Case c{core::make_conv(4, 32, 32, 28, 28, 3, 3, 1), {}, true};
     c.req.isa = platform::Isa::avx2;  // vlen 8
     c.req.threads = 2;
-    c.req.backend = kernels::BackendPref::compiled;
+    c.req.backend = kernels::BackendPref::jit;
     cases.push_back(c);
   }
   {
@@ -640,6 +640,16 @@ TEST(PlanSerialization, RejectsCorruptTruncatedVersionAndForeign) {
     s.replace(pos, needle.size(), "\"plan_schema_version\": 999");
     EXPECT_EQ(core::plan_from_json(s, key, &out),
               PlanLoadStatus::version_mismatch);
+  }
+  // A stale plan naming the removed "compiled" backend is corrupt, so the
+  // cache falls back to a fresh plan instead of misreading it.
+  {
+    std::string s = good;
+    const std::string needle = "\"backend\": \"auto\"";
+    const auto pos = s.find(needle);
+    ASSERT_NE(pos, std::string::npos);
+    s.replace(pos, needle.size(), "\"backend\": \"compiled\"");
+    EXPECT_EQ(core::plan_from_json(s, key, &out), PlanLoadStatus::corrupt);
   }
   // An entry serialized for a different key (here: thread count) is foreign.
   {

@@ -155,13 +155,17 @@ TEST(Timer, BenchStatsBasics) {
   EXPECT_GE(st.mean_s, 0);
   EXPECT_LE(st.min_s, st.mean_s);
   EXPECT_GE(st.max_s, st.mean_s);
+  EXPECT_LE(st.min_s, st.median_s);
+  EXPECT_GE(st.max_s, st.median_s);
 }
 
 TEST(Timer, GflopsComputation) {
   platform::BenchStats st;
   st.mean_s = 0.5;
+  st.median_s = 0.4;
   st.min_s = 0.25;
   EXPECT_DOUBLE_EQ(st.gflops(1'000'000'000), 2.0);
+  EXPECT_DOUBLE_EQ(st.median_gflops(1'000'000'000), 2.5);
   EXPECT_DOUBLE_EQ(st.best_gflops(1'000'000'000), 4.0);
 }
 

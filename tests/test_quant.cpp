@@ -1,12 +1,15 @@
 // Reduced-precision int16 kernels (Section II-K): quantization bounds, exact
-// scalar/VNNI agreement, and QConvLayer passes vs fp32 within the expected
-// quantization error.
+// scalar/JIT (VNNI) agreement, registry-served kernels, and QConvLayer passes
+// vs fp32 within the expected quantization error.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <optional>
 
+#include "platform/envparse.hpp"
 #include "quant/bfloat16.hpp"
 #include "quant/qconv_layer.hpp"
 #include "quant/quantize.hpp"
@@ -133,8 +136,10 @@ struct QRun {
   std::vector<float> fwd, bwd, upd;
 };
 
-QRun run_qconv(const core::ConvParams& p, const ConvProblem& pr,
-               bool use_vnni, int flush) {
+// `jit` picks the generated kernels (needs an AVX512-VNNI host); otherwise
+// the scalar reference kernels.
+QRun run_qconv(const core::ConvParams& p, const ConvProblem& pr, bool jit,
+               int flush) {
   core::ConvLayer ref_layer(p);  // for tensor factories
   auto bin = ref_layer.make_input();
   tensor::nchw_to_blocked(pr.in.data(), bin);
@@ -143,7 +148,9 @@ QRun run_qconv(const core::ConvParams& p, const ConvProblem& pr,
   auto bdout = ref_layer.make_output();
   tensor::nchw_to_blocked(pr.dout.data(), bdout);
 
-  quant::QConvLayer q(p, 1, use_vnni, flush);
+  quant::QConvLayer q(p, 1, flush, platform::Isa::avx512_vnni,
+                      jit ? kernels::BackendPref::jit
+                          : kernels::BackendPref::scalar);
   const auto qin = quant::quantize_act(bin);
   const auto qwt = quant::quantize_wt(bwt);
   const auto qdout = quant::quantize_act(bdout);
@@ -174,7 +181,7 @@ class QConvShapes : public ::testing::TestWithParam<core::ConvParams> {};
 TEST_P(QConvShapes, ScalarTracksFp32WithinQuantError) {
   const auto p = GetParam();
   ConvProblem pr(p, 21);
-  const auto q = run_qconv(p, pr, /*use_vnni=*/false, 8);
+  const auto q = run_qconv(p, pr, /*jit=*/false, 8);
   // Quantization error: relative L2 of a few percent for 10-bit mantissas.
   xconv::testing::expect_close(xconv::testing::naive_fwd(pr), q.fwd, 2e-2,
                                "q fwd");
@@ -205,6 +212,121 @@ INSTANTIATE_TEST_SUITE_P(
                       core::make_conv(1, 48, 32, 7, 7, 3, 3, 1),
                       core::make_conv(2, 16, 16, 9, 9, 5, 5, 1)));
 
+TEST(QConv, InterleavePairsZeroPairsOddFinalPixel) {
+  // vlen 2, stride 2: pixels 0, 1, 2 sit at elements 0, 4, 8.
+  std::vector<std::int16_t> src(12);
+  for (int i = 0; i < 12; ++i) src[i] = static_cast<std::int16_t>(i + 1);
+  std::vector<std::int16_t> dst(8, -1);
+  quant::interleave_pairs(src.data(), 3, 2, 2, dst.data());
+  EXPECT_EQ(dst, (std::vector<std::int16_t>{1, 5, 2, 6, 9, 0, 10, 0}));
+}
+
+namespace {
+void strided_update_case(const core::ConvParams& p) {
+  ConvProblem pr(p, 26);
+  core::ConvLayer ref_layer(p);
+  auto bin = ref_layer.make_input();
+  tensor::nchw_to_blocked(pr.in.data(), bin);
+  auto bdout = ref_layer.make_output();
+  tensor::nchw_to_blocked(pr.dout.data(), bdout);
+  const auto qin = quant::quantize_act(bin);
+  const auto qdout = quant::quantize_act(bdout);
+  std::vector<std::vector<float>> upd;
+  for (const auto pref :
+       {kernels::BackendPref::scalar, kernels::BackendPref::jit}) {
+    if (pref == kernels::BackendPref::jit &&
+        platform::max_isa() != platform::Isa::avx512_vnni)
+      break;
+    quant::QConvLayer q(p, 1, 8, platform::Isa::avx512_vnni, pref);
+    auto bdwt = ref_layer.make_weights();
+    q.update(qin, qdout, bdwt);
+    upd.emplace_back(p.weight_elems());
+    tensor::blocked_fwd_to_kcrs(bdwt, p.K, p.C, upd.back().data());
+  }
+  xconv::testing::expect_close(xconv::testing::naive_upd(pr), upd[0], 2e-2,
+                               "strided upd");
+  if (upd.size() == 2) EXPECT_EQ(upd[0], upd[1]);
+}
+}  // namespace
+
+TEST(QConv, StridedUpdateUsesEveryColumnPhase) {
+  // 3x3 stride 2: taps s = 0, 1, 2 read input column phases 0, 1, 2 of the
+  // 2*stride = 4 the update interleaves (bwd is unsupported for this shape).
+  // 11x11 gives an even output width, 9x9 an odd one (zero-paired pixel).
+  for (const int hw : {11, 9}) {
+    SCOPED_TRACE(hw);
+    strided_update_case(core::make_conv(1, 16, 16, hw, hw, 3, 3, 2));
+  }
+}
+
+TEST(QConv, SecondLayerOfSameShapeAddsOnlyRegistryHits) {
+  const auto p = core::make_conv(1, 32, 32, 8, 8, 3, 3, 1);
+  ConvProblem pr(p, 25);
+  run_qconv(p, pr, /*jit=*/false, 8);  // warm the registry
+  auto& reg = kernels::KernelRegistry::instance();
+  const std::size_t size = reg.size();
+  const auto misses = reg.stats().misses;
+  const auto hits = reg.stats().hits;
+  run_qconv(p, pr, /*jit=*/false, 8);
+  EXPECT_EQ(reg.size(), size);
+  EXPECT_EQ(reg.stats().misses, misses);
+  EXPECT_GT(reg.stats().hits, hits);
+}
+
+namespace {
+// Sets an env var for one scope and restores the caller's value after, so a
+// lane that runs the suite under XCONV_BACKEND/XCONV_ISA keeps its setting.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = platform::env::get(name)) old_ = old;
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (old_.empty())
+      ::unsetenv(name_);
+    else
+      ::setenv(name_, old_.c_str(), 1);
+  }
+
+ private:
+  const char* name_;
+  std::string old_;
+};
+
+// Backend of the kernels a default-configured layer's forward pass runs.
+std::optional<kernels::Backend> default_layer_backend(
+    const core::ConvParams& p) {
+  core::ConvLayer ref_layer(p);
+  auto out = ref_layer.make_output();
+  quant::QConvLayer q(p, 1);
+  EXPECT_FALSE(q.backend().has_value());
+  q.forward(quant::quantize_act(ref_layer.make_input()),
+            quant::quantize_wt(ref_layer.make_weights()), out);
+  return q.backend();
+}
+}  // namespace
+
+TEST(QConv, EnvScalarBackendOrIsaClampYieldsScalarKernels) {
+  const auto p = core::make_conv(1, 16, 16, 8, 8, 3, 3, 1);
+  {
+    const ScopedEnv backend("XCONV_BACKEND", "scalar");
+    EXPECT_EQ(default_layer_backend(p), kernels::Backend::scalar);
+  }
+  {
+    const ScopedEnv isa("XCONV_ISA", "avx512");
+    EXPECT_EQ(default_layer_backend(p), kernels::Backend::scalar);
+  }
+  // Unclamped on a VNNI host the layer serves generated kernels.
+  const ScopedEnv backend("XCONV_BACKEND", nullptr);
+  const ScopedEnv isa("XCONV_ISA", nullptr);
+  if (platform::max_isa() == platform::Isa::avx512_vnni)
+    EXPECT_EQ(default_layer_backend(p), kernels::Backend::jit);
+}
+
 TEST(QConv, FlushIntervalDoesNotChangeResultMuch) {
   // Different chain restrictions reassociate the integer sums; results agree
   // to fp32 rounding (the int32 partial sums are exact, only the fp32
@@ -218,7 +340,7 @@ TEST(QConv, FlushIntervalDoesNotChangeResultMuch) {
 
 TEST(QConv, UnsupportedStridedNon1x1BackwardThrows) {
   const auto p = core::make_conv(1, 16, 16, 9, 9, 3, 3, 2);
-  quant::QConvLayer q(p, 1, false, 8);
+  quant::QConvLayer q(p, 1, 8);
   core::ConvLayer ref_layer(p);
   auto bdout = ref_layer.make_output();
   auto bwt = ref_layer.make_weights();
