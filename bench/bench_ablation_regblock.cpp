@@ -13,9 +13,11 @@ static void BM_RegisterBlocking(benchmark::State& state) {
   const int rbp = static_cast<int>(state.range(1));
   const auto p = topo::table1_params(topo::resnet50_table1()[12],
                                      platform::bench_minibatch(1));
+  // Pin the blocking through an explicit plan: the default plan, edited.
   core::ConvOptions o;
-  o.rbq = rbq;
-  o.rbp = rbp;
+  o.plan = core::ConvLayer(p, o).plan();
+  o.plan->rbq = rbq;
+  o.plan->rbp = rbp;
   core::ConvLayer layer(p, o);
   auto t = bench::make_tensors(layer);
   for (auto _ : state) {

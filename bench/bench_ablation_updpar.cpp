@@ -14,9 +14,11 @@ static void BM_UpdStrategy(benchmark::State& state) {
   auto l = topo::resnet50_table1()[layer_idx];
   const auto p =
       topo::table1_params(l, std::max(4, platform::bench_minibatch(4)));
+  // Pin the strategy through an explicit plan: the default plan, edited.
   core::ConvOptions o;
-  o.upd_strategy = strategy;
   o.threads = threads;
+  o.plan = core::ConvLayer(p, o).plan();
+  o.plan->upd_strategy = strategy;
   core::ConvLayer layer(p, o);
   auto t = bench::make_tensors(layer);
   for (auto _ : state) {

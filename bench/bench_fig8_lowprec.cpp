@@ -5,8 +5,11 @@
 // gain: 32-bit output traffic + restricted accumulation chains), upd ~1.3x
 // (additionally pays the dO pair-interleave "transpose" and 32-bit dW
 // reduction traffic). Layer 1 (7x7 stride-2) is excluded as in the paper.
-// Every row is the median of the timed runs, so one slow run cannot swing a
-// row; the average speedups are geometric means of the per-layer ratios.
+// Every row is the median of the timed runs (default 5, XCONV_BENCH_RUNS),
+// so one slow run cannot swing a row; each int16 column is followed by its
+// interquartile range as a share of the median ("iqr"), the spread a change
+// must beat to show in that row. The average speedups are geometric means
+// of the per-layer ratios.
 #include <cmath>
 
 #include "bench_common.hpp"
@@ -17,7 +20,7 @@ using namespace xconv::bench;
 
 int main() {
   const int mb = platform::bench_minibatch(1);
-  const int runs = platform::bench_runs(3);
+  const int runs = platform::bench_runs(5);
   const bool have_vnni =
       platform::effective_isa() == platform::Isa::avx512_vnni;
   print_header("Figure 8: int16 (qi16f32) vs fp32, ResNet-50 layers 2-20",
@@ -25,27 +28,27 @@ int main() {
   if (!have_vnni)
     std::printf("NOTE: host lacks AVX512-VNNI; int16 kernels run the scalar "
                 "path (speedups below 1 expected).\n");
-  std::printf("%3s | %9s %9s %7s | %9s %9s %7s | %9s %9s %7s\n", "ID",
-              "fwd32", "fwd16", "spd", "bwd32", "bwd16", "spd", "upd32",
-              "upd16", "spd");
+  std::printf("%3s | %8s %8s %5s %5s | %8s %8s %5s %5s | %8s %8s %5s %5s\n",
+              "ID", "fwd32", "fwd16", "iqr", "spd", "bwd32", "bwd16", "iqr",
+              "spd", "upd32", "upd16", "iqr", "spd");
 
   // Sums of log speedups: the average of ratios is their geometric mean.
   double log_f = 0, log_b = 0, log_u = 0;
   int cnt_f = 0, cnt_b = 0, cnt_u = 0;
-  auto median_gflops = [&](const std::function<void()>& fn, std::size_t flops) {
-    return platform::time_runs(fn, runs, 1).median_gflops(flops);
+  auto timed = [&](const std::function<void()>& fn) {
+    return platform::time_runs(fn, runs, 1);
   };
   for (const auto& l : topo::resnet50_table1()) {
     if (l.id == 1) continue;
     const auto p = topo::table1_params(l, mb);
     core::ConvLayer f32(p);
     auto t = make_tensors(f32);
-    const double g_f32 =
-        median_gflops([&] { f32.forward(t.in, t.wt, t.out); }, p.flops());
-    const double g_b32 =
-        median_gflops([&] { f32.backward(t.dout, t.wt, t.din); }, p.flops());
-    const double g_u32 =
-        median_gflops([&] { f32.update(t.in, t.dout, t.dwt); }, p.flops());
+    const double g_f32 = timed([&] { f32.forward(t.in, t.wt, t.out); })
+                             .median_gflops(p.flops());
+    const double g_b32 = timed([&] { f32.backward(t.dout, t.wt, t.din); })
+                             .median_gflops(p.flops());
+    const double g_u32 = timed([&] { f32.update(t.in, t.dout, t.dwt); })
+                             .median_gflops(p.flops());
 
     // XCONV_BACKEND=jit would throw for int16 below avx512_vnni; such a
     // host prints the scalar rows the note above announces instead.
@@ -57,15 +60,14 @@ int main() {
     const auto qdout = quant::quantize_act(t.dout);
     const auto qwtb = quant::quantize_wt_bwd(t.wt);
 
-    const double g_f16 =
-        median_gflops([&] { q.forward(qin, qwt, t.out); }, p.flops());
-    double g_b16 = 0;
+    const auto f16 = timed([&] { q.forward(qin, qwt, t.out); });
+    platform::BenchStats b16;
     const bool bwd_ok = (p.stride_h == 1) || (p.R == 1 && p.S == 1);
-    if (bwd_ok)
-      g_b16 =
-          median_gflops([&] { q.backward(qdout, qwtb, t.din); }, p.flops());
-    const double g_u16 =
-        median_gflops([&] { q.update(qin, qdout, t.dwt); }, p.flops());
+    if (bwd_ok) b16 = timed([&] { q.backward(qdout, qwtb, t.din); });
+    const auto u16 = timed([&] { q.update(qin, qdout, t.dwt); });
+    const double g_f16 = f16.median_gflops(p.flops());
+    const double g_b16 = b16.median_gflops(p.flops());
+    const double g_u16 = u16.median_gflops(p.flops());
 
     const double sf = g_f32 > 0 ? g_f16 / g_f32 : 0;
     const double sb = (bwd_ok && g_b32 > 0) ? g_b16 / g_b32 : 0;
@@ -82,9 +84,11 @@ int main() {
       log_u += std::log(su);
       ++cnt_u;
     }
-    std::printf("%3d | %9.1f %9.1f %7.2f | %9.1f %9.1f %7.2f | %9.1f %9.1f "
-                "%7.2f\n",
-                l.id, g_f32, g_f16, sf, g_b32, g_b16, sb, g_u32, g_u16, su);
+    std::printf("%3d | %8.1f %8.1f %4.0f%% %5.2f | %8.1f %8.1f %4.0f%% %5.2f "
+                "| %8.1f %8.1f %4.0f%% %5.2f\n",
+                l.id, g_f32, g_f16, 100 * f16.iqr_share(), sf, g_b32, g_b16,
+                100 * b16.iqr_share(), sb, g_u32, g_u16,
+                100 * u16.iqr_share(), su);
   }
   auto geomean = [](double log_sum, int n) {
     return n > 0 ? std::exp(log_sum / n) : 0.0;

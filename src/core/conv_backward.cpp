@@ -74,31 +74,13 @@ void ConvLayer::setup_backward() {
 
   // The algorithm choice (shape-forced, Section II-I) and its blocking
   // extents come from the resolved plan.
-  bwd_algo_ = plan_.bwd_algo;
-
-  if (bwd_algo_ == BwdAlgo::duality_stride1) {
-    ConvParams dual;
-    dual.N = p.N;
-    dual.C = p.K;
-    dual.K = p.C;
-    dual.H = p.P();
-    dual.W = p.Q();
-    dual.R = p.R;
-    dual.S = p.S;
-    dual.stride_h = dual.stride_w = 1;
-    dual.pad_h = p.R - 1 - p.pad_h;
-    dual.pad_w = p.S - 1 - p.pad_w;
-    if (dual.pad_h < 0 || dual.pad_w < 0)
-      throw std::invalid_argument(
-          "ConvLayer: pad > R-1 unsupported by the duality transform");
+  if (plan_.bwd_algo == BwdAlgo::duality_stride1) {
+    const ConvParams dual = p.dual();
     ConvOptions dopt = opt_;
     dopt.fuse = FusedOp::none;
-    // Re-plan for the dual shape: the parent's explicit plan / ablation
-    // overrides describe *this* layer's geometry, not the dual's.
+    // Re-plan for the dual shape: the parent's explicit plan describes
+    // *this* layer's geometry, not the dual's.
     dopt.plan.reset();
-    dopt.rbp = dopt.rbq = 0;
-    dopt.upd_bp = dopt.upd_bq = 0;
-    dopt.upd_strategy = UpdStrategy::auto_pick;
     dopt.threads = threads_;
     dopt.fwd_only = true;
     // The dual layer's input is this layer's output tensor and its output is
@@ -111,11 +93,10 @@ void ConvLayer::setup_backward() {
     return;
   }
 
-  if (bwd_algo_ == BwdAlgo::duality_1x1_strided) {
+  if (plan_.bwd_algo == BwdAlgo::duality_1x1_strided) {
     auto& reg = kernels::KernelRegistry::instance();
-    bwd1x1_rbq_ = plan_.bwd1x1_rbq;
-    bwd1x1_qfull_ = p.Q() / bwd1x1_rbq_;
-    bwd1x1_qrem_ = p.Q() % bwd1x1_rbq_;
+    bwd1x1_qfull_ = p.Q() / plan_.bwd1x1_rbq;
+    bwd1x1_qrem_ = p.Q() % plan_.bwd1x1_rbq;
     bwd1x1_variants_.clear();
     for (int qe = 0; qe < 2; ++qe) {
       if (qe == 1 && bwd1x1_qrem_ == 0) continue;
@@ -124,7 +105,7 @@ void ConvLayer::setup_backward() {
                                                 : opt_.isa;
       d.vlen = vlen_;
       d.rbp = 1;
-      d.rbq = qe ? bwd1x1_qrem_ : bwd1x1_rbq_;
+      d.rbq = qe ? bwd1x1_qrem_ : plan_.bwd1x1_rbq;
       d.r = d.s = 1;
       d.stride_h = d.stride_w = 1;       // dense read over dO
       d.in_row_stride = out_row_stride_;  // dO geometry
@@ -179,7 +160,7 @@ void ConvLayer::backward(const tensor::ActTensor& grad_out,
   // Weights change every training iteration: re-run the duality transform.
   tensor::blocked_fwd_to_bwd(wt, bwd_wt_);
 
-  switch (bwd_algo_) {
+  switch (plan_.bwd_algo) {
     case BwdAlgo::duality_stride1:
       bwd_layer_->forward(grad_out, bwd_wt_, grad_in);
       return;
@@ -231,7 +212,7 @@ void ConvLayer::backward_1x1_branchy(const float* dout, const float* wtb,
       const int n = static_cast<int>(rest / cb_);
 
       const bool q_edge = (bwd1x1_qrem_ > 0 && qb == bwd1x1_qfull_);
-      const int oi0 = std::min(qb, bwd1x1_qfull_) * bwd1x1_rbq_;
+      const int oi0 = std::min(qb, bwd1x1_qfull_) * plan_.bwd1x1_rbq;
       const std::int64_t dout_off =
           n * out_n_stride_ +
           static_cast<std::int64_t>(oj + out_pad_h_) * out_row_stride_ +
@@ -264,7 +245,7 @@ void ConvLayer::dryrun_backward() {
   // The stride-1 duality path needs no recording here: its dual layer owns
   // forward streams of its own. The GEMM fallback has no stream form (its
   // kernels take no prefetch operands) and always runs branchy.
-  if (bwd_algo_ != BwdAlgo::duality_1x1_strided) return;
+  if (plan_.bwd_algo != BwdAlgo::duality_1x1_strided) return;
   bwd1x1_streams_.assign(threads_, KernelStream{});
   backward_1x1_branchy(nullptr, nullptr, nullptr, /*record_streams=*/true);
   for (auto& s : bwd1x1_streams_) s.finish();

@@ -39,7 +39,8 @@ void ConvLayer::forward_branchy(const float* in, const float* wt, float* out,
   const int n_qb = q_full_ + (q_rem_ > 0 ? 1 : 0);
   const std::int64_t n_sb = static_cast<std::int64_t>(n_pb) * n_qb;
   const std::int64_t total = static_cast<std::int64_t>(params_.N) * kb_ * n_sb;
-  const bool single_pass = cb_in_kernel_ || cb_ == 1;
+  const bool single_pass = plan_.cb_in_kernel || cb_ == 1;
+  const int rbp = plan_.rbp, rbq = plan_.rbq;
   const int passes = single_pass ? 1 : cb_;
   const bool relu_in_kernel = (opt_.fuse == FusedOp::relu);
   const bool apply_fusion = needs_apply(opt_.fuse);
@@ -86,8 +87,8 @@ void ConvLayer::forward_branchy(const float* in, const float* wt, float* out,
           const int qi_blk = static_cast<int>(sb % n_qb);
           const bool p_edge = (p_rem_ > 0 && pj_blk == p_full_);
           const bool q_edge = (q_rem_ > 0 && qi_blk == q_full_);
-          const int oj0 = std::min(pj_blk, p_full_) * rbp_;
-          const int oi0 = std::min(qi_blk, q_full_) * rbq_;
+          const int oj0 = std::min(pj_blk, p_full_) * rbp;
+          const int oi0 = std::min(qi_blk, q_full_) * rbq;
 
           const std::int64_t in_off =
               n * in_n_stride_ + cbi * in_cb_stride_ +
@@ -113,8 +114,8 @@ void ConvLayer::forward_branchy(const float* in, const float* wt, float* out,
             ApplyRecord rec;
             rec.op = opt_.fuse;
             rec.out_off = out_off;
-            rec.rows = p_edge ? p_rem_ : rbp_;
-            rec.cols = q_edge ? q_rem_ : rbq_;
+            rec.rows = p_edge ? p_rem_ : rbp;
+            rec.cols = q_edge ? q_rem_ : rbq;
             rec.row_stride = out_row_stride_;
             rec.kb = kbi;
             rec.vlen = vlen_;

@@ -14,8 +14,9 @@ ConvLayer::ConvLayer(const ConvParams& params, const ConvOptions& opt)
   threads_ = opt_.threads > 0 ? opt_.threads : omp_get_max_threads();
   if (threads_ < 1) threads_ = 1;
 
-  // Resolve every planning decision up front (core/plan.hpp): explicit
-  // plan > ablation overrides > PlanCache (disk/autotune/default).
+  // Resolve every planning decision up front (core/plan.hpp): the explicit
+  // plan, else the PlanCache (disk/autotune/default). Execution context
+  // stays ours: resolve_plan applies it to the plan, so opt_ and plan_ agree.
   PlanRequest req;
   req.isa = opt_.isa;
   req.backend = opt_.backend;
@@ -23,18 +24,7 @@ ConvLayer::ConvLayer(const ConvParams& params, const ConvOptions& opt)
   req.prefetch = opt_.prefetch;
   req.threads = threads_;
   req.fwd_only = opt_.fwd_only;
-  req.rbp = opt_.rbp;
-  req.rbq = opt_.rbq;
-  req.upd_bp = opt_.upd_bp;
-  req.upd_bq = opt_.upd_bq;
-  req.upd_strategy = opt_.upd_strategy;
   plan_ = resolve_plan(params_, req, opt_.plan);
-  // The plan is authoritative for execution context from here on (an
-  // explicit plan may pin backend/stream mode; cache hits inherit ours).
-  opt_.isa = plan_.isa;
-  opt_.backend = plan_.backend;
-  opt_.use_streams = plan_.use_streams;
-  opt_.prefetch = plan_.prefetch;
 
   vlen_ = plan_.vlen;
   cb_ = tensor::ceil_div(params_.C, vlen_);
@@ -60,15 +50,10 @@ void ConvLayer::choose_blocking() {
 
   // Register blocking (Section II-B) comes straight from the plan; the
   // derivation (and budget validation) happened in plan_default()/validate().
-  rbq_ = plan_.rbq;
-  rbp_ = plan_.rbp;
-  q_full_ = Q / rbq_;
-  q_rem_ = Q % rbq_;
-  p_full_ = P / rbp_;
-  p_rem_ = P % rbp_;
-
-  // 1x1 Cb-loop-in-kernel transformation (Section II-C).
-  cb_in_kernel_ = plan_.cb_in_kernel;
+  q_full_ = Q / plan_.rbq;
+  q_rem_ = Q % plan_.rbq;
+  p_full_ = P / plan_.rbp;
+  p_rem_ = P % plan_.rbp;
 
   // Physical halos: defaults are the minimum each side needs (input: the
   // zero padding; output: what backward-as-forward reads, Section II-I).
@@ -122,23 +107,25 @@ void ConvLayer::build_fwd_variants() {
   auto& reg = kernels::KernelRegistry::instance();
 
   const bool want_relu_variant = (opt_.fuse == FusedOp::relu);
+  // 1x1 Cb-loop-in-kernel transformation (Section II-C).
+  const bool cb_in_kernel = plan_.cb_in_kernel;
   for (int pe = 0; pe < 2; ++pe) {
-    const int rbp = pe ? p_rem_ : rbp_;
+    const int rbp = pe ? p_rem_ : plan_.rbp;
     if (rbp == 0) continue;
     if (pe == 1 && p_rem_ == 0) continue;
     for (int qe = 0; qe < 2; ++qe) {
-      const int rbq = qe ? q_rem_ : rbq_;
+      const int rbq = qe ? q_rem_ : plan_.rbq;
       if (rbq == 0) continue;
       if (qe == 1 && q_rem_ == 0) continue;
       for (int b0 = 0; b0 < 2; ++b0) {
         // With the Cb loop in-kernel there is exactly one (beta0) pass.
-        if (cb_in_kernel_ && b0 == 0) continue;
-        if (!cb_in_kernel_ && cb_ == 1 && b0 == 0) continue;
+        if (cb_in_kernel && b0 == 0) continue;
+        if (!cb_in_kernel && cb_ == 1 && b0 == 0) continue;
         for (int rl = 0; rl < 2; ++rl) {
           if (rl == 1 && !want_relu_variant) continue;
           // ReLU only folds into the last Cb iteration = beta1 kernel when
           // multiple passes exist, or the single beta0 kernel otherwise.
-          const bool last_pass_kernel = cb_in_kernel_ || cb_ == 1 || b0 == 0;
+          const bool last_pass_kernel = cb_in_kernel || cb_ == 1 || b0 == 0;
           if (rl == 1 && !last_pass_kernel) continue;
 
           jit::ConvKernelDesc d;
@@ -154,7 +141,7 @@ void ConvLayer::build_fwd_variants() {
           d.in_row_stride = in_row_stride_;
           d.out_row_stride = out_row_stride_;
           d.c_iters = vlen_;
-          if (cb_in_kernel_) {
+          if (cb_in_kernel) {
             d.c_blocks = cb_;
             d.in_cb_stride = static_cast<int>(in_cb_stride_);
             d.wt_cb_stride = static_cast<int>(wt_cb_stride_);
@@ -226,8 +213,8 @@ std::size_t ConvLayer::upd_stream_calls() const {
 std::string ConvLayer::describe() const {
   std::ostringstream os;
   os << params_.to_string() << " isa=" << platform::isa_name(opt_.isa)
-     << " vlen=" << vlen_ << " rb=" << rbp_ << "x" << rbq_
-     << (cb_in_kernel_ ? " cb-in-kernel" : "")
+     << " vlen=" << vlen_ << " rb=" << plan_.rbp << "x" << plan_.rbq
+     << (plan_.cb_in_kernel ? " cb-in-kernel" : "")
      << " variants=" << fwd_variants_.size()
      << " streams=" << (opt_.use_streams ? "on" : "off");
   if (opt_.use_streams) {
@@ -236,14 +223,10 @@ std::string ConvLayer::describe() const {
       os << " bwd_stream_convs=" << bwd_stream_convs()
          << " upd_stream_calls=" << upd_stream_calls();
   }
-  os << " bwd=";
-  switch (bwd_algo_) {
-    case BwdAlgo::duality_stride1: os << "duality-s1"; break;
-    case BwdAlgo::duality_1x1_strided: os << "duality-1x1-strided"; break;
-    case BwdAlgo::gemm_fallback: os << "gemm-fallback"; break;
-  }
-  os << " upd=" << upd_strategy_name(upd_strategy_) << " upd_b=" << upd_bp_
-     << "x" << upd_bq_ << " threads=" << threads_
+  os << " bwd=" << bwd_algo_name(plan_.bwd_algo)
+     << " upd=" << upd_strategy_name(plan_.upd_strategy)
+     << " upd_b=" << plan_.upd_bp << "x" << plan_.upd_bq
+     << " threads=" << threads_
      << " plan=" << (plan_.tuned ? "tuned" : "default");
   return os.str();
 }

@@ -12,9 +12,10 @@
 //
 // All planning *decisions* (blocking extents, backward algorithm, update
 // strategy) come from a ConvPlan resolved at construction (core/plan.hpp):
-// an explicit ConvOptions::plan, a PlanCache/autotune hit, or the default
-// heuristics. Setup then only *executes* the plan — JIT, dryrun, scratch
-// sizing — so a persisted plan makes steady-state construction decision-free.
+// an explicit ConvOptions::plan, else a PlanCache/autotune hit or the
+// default heuristics. plan() is the only place the layer keeps them. Setup
+// then only *executes* the plan — JIT, dryrun, scratch sizing — so a
+// persisted plan makes steady-state construction decision-free.
 //
 // The per-iteration calls (`forward`, `backward`, `update`) then only replay
 // streams / run tight loops — no compilation, no tuning, no branchy logic.
@@ -52,10 +53,6 @@ struct ConvOptions {
   bool prefetch = true;      ///< two-level software prefetch in kernels
   FusedOp fuse = FusedOp::none;
   int threads = 0;           ///< 0 = omp_get_max_threads()
-  UpdStrategy upd_strategy = UpdStrategy::auto_pick;
-  // Ablation overrides (0 = auto):
-  int rbp = 0, rbq = 0;      ///< forward register blocking
-  int upd_bp = 0, upd_bq = 0;  ///< weight-update pixel blocking
 
   /// Physical halo of the input/output tensors, in pixels (-1 = default).
   /// The input halo must be >= pad (the extra rim is skipped); the output
@@ -70,10 +67,14 @@ struct ConvOptions {
   /// dual-of-dual recursion).
   bool fwd_only = false;
 
-  /// Explicit plan: when set, the layer executes exactly these decisions
-  /// (validated against the shape and the isa/threads context above) and
-  /// never consults the PlanCache. When unset, resolution follows
-  /// plan.hpp's order: ablation overrides > cache > autotune/default.
+  /// Explicit plan, the one way to pin decisions (blocking, backward
+  /// algorithm, update strategy): when set, the layer executes exactly its
+  /// decisions (validated against the shape and the isa/vlen/threads context
+  /// above) and never consults the PlanCache. When unset, the PlanCache
+  /// supplies a cached, tuned or default plan. Either way, backend,
+  /// use_streams and prefetch above override the plan's own. To change one
+  /// decision, take ConvLayer(p, o).plan() or plan_default(), edit it, set it
+  /// here.
   std::optional<ConvPlan> plan;
 };
 
@@ -113,13 +114,12 @@ class ConvLayer {
 
   /// Weight-gradient update (Section II-J, Algorithm 9): dW (+)= I * dO.
   /// dW is overwritten (the driver zero-initializes its accumulation).
+  /// Not reentrant: privatized dW copies and streams are per-layer state.
   void update(const tensor::ActTensor& in, const tensor::ActTensor& grad_out,
               tensor::WtTensor& grad_wt);
 
   // --- introspection (used by benches/tests) ---
   std::string describe() const;
-  int fwd_rbp() const { return rbp_; }
-  int fwd_rbq() const { return rbq_; }
   int in_halo_h() const { return in_halo_h_; }
   int in_halo_w() const { return in_halo_w_; }
   int out_halo_h() const { return out_pad_h_; }
@@ -131,15 +131,9 @@ class ConvLayer {
   /// pass runs branchy, e.g. the GEMM fallback or use_streams=false).
   std::size_t bwd_stream_convs() const;
   std::size_t upd_stream_calls() const;
-  UpdStrategy upd_strategy_used() const { return upd_strategy_; }
-  int upd_bp() const { return upd_bp_; }
-  int upd_bq() const { return upd_bq_; }
-  /// Which backward algorithm the layer selected (duality vs GEMM fallback).
-  /// The enum itself now lives in plan.hpp; the alias keeps existing
-  /// `ConvLayer::BwdAlgo` spellings working.
-  using BwdAlgo = core::BwdAlgo;
-  BwdAlgo bwd_algo() const { return bwd_algo_; }
-  /// The resolved plan this layer executes (explicit > cache > default).
+  /// The resolved plan this layer executes: every decision it made
+  /// (blocking, backward algorithm, update strategy) and its execution
+  /// context.
   const ConvPlan& plan() const { return plan_; }
 
  private:
@@ -184,11 +178,9 @@ class ConvLayer {
   int cb_ = 1, kb_ = 1;
   int threads_ = 1;
 
-  // forward blocking
-  int rbp_ = 1, rbq_ = 1;
-  int q_full_ = 0, q_rem_ = 0;  ///< Q = q_full_*rbq_ + q_rem_
+  // forward blocking (plan_.rbp x plan_.rbq register blocks)
+  int q_full_ = 0, q_rem_ = 0;  ///< Q = q_full_*plan_.rbq + q_rem_
   int p_full_ = 0, p_rem_ = 0;
-  bool cb_in_kernel_ = false;   ///< 1x1 path with the Cb loop inside kernels
 
   // geometry (element strides; set at setup)
   int in_row_stride_ = 0, out_row_stride_ = 0;
@@ -208,8 +200,7 @@ class ConvLayer {
   int variant_for(bool p_edge, bool q_edge, bool beta0, bool relu) const;
   std::vector<KernelStream> fwd_streams_;  ///< one per thread
 
-  // backward
-  BwdAlgo bwd_algo_ = BwdAlgo::duality_stride1;
+  // backward (algorithm: plan_.bwd_algo)
   std::unique_ptr<ConvLayer> bwd_layer_;   ///< dual layer (duality paths)
   tensor::WtTensor bwd_wt_;                ///< transformed weights
   struct BwdGemmPlan;
@@ -217,9 +208,7 @@ class ConvLayer {
   // (conv_backward.cpp), keeping the plan out of this header.
   std::shared_ptr<BwdGemmPlan> bwd_gemm_;  ///< Algorithm-7 fallback plan
 
-  // update
-  UpdStrategy upd_strategy_ = UpdStrategy::task;
-  int upd_bp_ = 0, upd_bq_ = 0;
+  // update (strategy and pixel blocks: plan_.upd_*)
   std::vector<const kernels::UpdMicrokernel*> upd_variants_;
   /// (c_edge, p_edge, q_edge, beta0) -> variant. c_edge selects the
   /// channel-remainder kernels (C % vlen rows) for the last Cb block; those
@@ -240,7 +229,7 @@ class ConvLayer {
 
   // backward 1x1-strided variants: (q_edge) -> kernel
   std::vector<const kernels::ConvMicrokernel*> bwd1x1_variants_;
-  int bwd1x1_rbq_ = 0, bwd1x1_qfull_ = 0, bwd1x1_qrem_ = 0;
+  int bwd1x1_qfull_ = 0, bwd1x1_qrem_ = 0;  ///< Q / plan_.bwd1x1_rbq
   std::vector<KernelStream> bwd1x1_streams_;  ///< one per thread
 };
 

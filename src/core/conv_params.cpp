@@ -19,6 +19,24 @@ void ConvParams::validate() const {
   // input margin that the stride does not cover is simply never read.
 }
 
+ConvParams ConvParams::dual() const {
+  ConvParams d;
+  d.N = N;
+  d.C = K;
+  d.K = C;
+  d.H = P();
+  d.W = Q();
+  d.R = R;
+  d.S = S;
+  d.pad_h = R - 1 - pad_h;
+  d.pad_w = S - 1 - pad_w;
+  if (d.pad_h < 0 || d.pad_w < 0)
+    throw std::invalid_argument(
+        "ConvParams: pad > R-1 unsupported by the duality transform in " +
+        to_string());
+  return d;
+}
+
 std::string ConvParams::to_string() const {
   std::ostringstream os;
   os << "conv(N=" << N << ",C=" << C << ",K=" << K << ",H=" << H

@@ -43,6 +43,14 @@ struct ConvParams {
   /// std::invalid_argument with a description on violation.
   void validate() const;
 
+  /// The duality transform (Section II-I): backward propagation of this
+  /// layer is a forward convolution of dO with these params (C and K
+  /// swapped, input = the P x Q output domain, stride 1, pad' = R-1-pad).
+  /// For a 1x1 layer with stride > 1 they describe the dense 1x1 conv whose
+  /// results are scattered back by the stride. Throws
+  /// std::invalid_argument when pad > R-1 (no dual exists).
+  ConvParams dual() const;
+
   bool operator==(const ConvParams&) const = default;
 
   std::string to_string() const;

@@ -58,12 +58,10 @@ void ConvLayer::setup_update() {
   // Pixel blocking (Section II-J) comes from the resolved plan: BP = P,
   // BQ = Q maximizes dW register reuse but may spill the cache for large
   // spatial dims, so plan_default caps the patch at kUpdBpCap x kUpdBqCap.
-  upd_bq_ = plan_.upd_bq;
-  upd_bp_ = plan_.upd_bp;
-  upd_qb_full_ = p.Q() / upd_bq_;
-  upd_qb_rem_ = p.Q() % upd_bq_;
-  upd_pb_full_ = p.P() / upd_bp_;
-  upd_pb_rem_ = p.P() % upd_bp_;
+  upd_qb_full_ = p.Q() / plan_.upd_bq;
+  upd_qb_rem_ = p.Q() % plan_.upd_bq;
+  upd_pb_full_ = p.P() / plan_.upd_bp;
+  upd_pb_rem_ = p.P() % plan_.upd_bp;
 
   auto& reg = kernels::KernelRegistry::instance();
   upd_variants_.clear();
@@ -75,10 +73,10 @@ void ConvLayer::setup_update() {
   upd_c_rem_ = p.C % vlen_;
   for (int ce = 0; ce < (upd_c_rem_ > 0 ? 2 : 1); ++ce) {
     for (int pe = 0; pe < 2; ++pe) {
-      const int bp = pe ? upd_pb_rem_ : upd_bp_;
+      const int bp = pe ? upd_pb_rem_ : plan_.upd_bp;
       if (bp == 0) continue;
       for (int qe = 0; qe < 2; ++qe) {
-        const int bq = qe ? upd_qb_rem_ : upd_bq_;
+        const int bq = qe ? upd_qb_rem_ : plan_.upd_bq;
         if (bq == 0) continue;
         for (int b0 = 0; b0 < 2; ++b0) {
           jit::UpdKernelDesc d;
@@ -104,14 +102,12 @@ void ConvLayer::setup_update() {
 
   // The strategy decision (the paper's bandwidth model) happened at
   // planning time — see plan_default() / pick_upd_strategy().
-  upd_strategy_ = plan_.upd_strategy;
-
   // Privatization geometry is fully known at setup: size the per-copy dW
   // scratch arena here so branchy runs, dryrun recording and stream replay
   // all share one allocation.
   upd_dw_size_ = static_cast<std::size_t>(wt_kb_stride_) * kb_;
   upd_groups_ = 0;
-  if (upd_strategy_ == UpdStrategy::hybrid) {
+  if (plan_.upd_strategy == UpdStrategy::hybrid) {
     const std::int64_t tasks =
         static_cast<std::int64_t>(kb_) * cb_ * p.R * p.S;
     const int groups = std::min(
@@ -121,7 +117,7 @@ void ConvLayer::setup_update() {
     // keeps the requested strategy name but runs task-style.
     if (threads_ >= 2 && groups >= 2) upd_groups_ = groups;
   }
-  if (upd_strategy_ == UpdStrategy::minibatch)
+  if (plan_.upd_strategy == UpdStrategy::minibatch)
     upd_scratch_.resize(upd_dw_size_ * threads_);
   else if (upd_groups_ > 0)
     upd_scratch_.resize(upd_dw_size_ * upd_groups_);
@@ -131,7 +127,7 @@ void ConvLayer::setup_update() {
   // picks the chunk unroll. Spans past disp32 fall back to the scalar loop.
   upd_reduce_ = nullptr;
   const int red_copies =
-      upd_strategy_ == UpdStrategy::minibatch ? threads_ : upd_groups_;
+      plan_.upd_strategy == UpdStrategy::minibatch ? threads_ : upd_groups_;
   if (red_copies >= 2 && plan_.upd_reduce_jit) {
     jit::ReduceKernelDesc rd;
     rd.isa = opt_.isa == platform::Isa::scalar ? platform::Isa::avx512
@@ -149,9 +145,9 @@ void ConvLayer::setup_update() {
 }
 
 float* ConvLayer::upd_dw_base(int tid, float* dw) {
-  if (upd_strategy_ == UpdStrategy::minibatch)
+  if (plan_.upd_strategy == UpdStrategy::minibatch)
     return upd_scratch_.data() + upd_dw_size_ * tid;
-  if (upd_strategy_ == UpdStrategy::hybrid && upd_groups_ > 0)
+  if (plan_.upd_strategy == UpdStrategy::hybrid && upd_groups_ > 0)
     return upd_scratch_.data() + upd_dw_size_ * (tid % upd_groups_);
   return dw;  // task (and degenerate hybrid): the shared dW tensor
 }
@@ -201,9 +197,9 @@ void ConvLayer::update_branchy(const float* in_b, const float* do_b,
     auto emit_block = [&](std::int64_t dw_off, int kbi, int cbi, int r, int s,
                           int n, int pjb, int qib, bool first) {
       const bool p_edge = (upd_pb_rem_ > 0 && pjb == upd_pb_full_);
-      const int oj0 = std::min(pjb, upd_pb_full_) * upd_bp_;
+      const int oj0 = std::min(pjb, upd_pb_full_) * plan_.upd_bp;
       const bool q_edge = (upd_qb_rem_ > 0 && qib == upd_qb_full_);
-      const int oi0 = std::min(qib, upd_qb_full_) * upd_bq_;
+      const int oi0 = std::min(qib, upd_qb_full_) * plan_.upd_bq;
       const std::int64_t in_off =
           n * in_n_stride_ + cbi * in_cb_stride_ +
           static_cast<std::int64_t>(oj0 * p.stride_h + r + in_shift_h_) *
@@ -288,13 +284,12 @@ void ConvLayer::update_branchy(const float* in_b, const float* do_b,
     };
 
     const bool task_style =
-        upd_strategy_ == UpdStrategy::task ||
-        upd_strategy_ == UpdStrategy::auto_pick ||  // resolved at setup
-        (upd_strategy_ == UpdStrategy::hybrid && upd_groups_ == 0);
+        plan_.upd_strategy == UpdStrategy::task ||
+        (plan_.upd_strategy == UpdStrategy::hybrid && upd_groups_ == 0);
     if (task_style) {
       const Range tr = thread_chunk(tasks, tid, threads_);
       run_tasks(tr.begin, tr.end, 0, p.N);
-    } else if (upd_strategy_ == UpdStrategy::minibatch) {
+    } else if (plan_.upd_strategy == UpdStrategy::minibatch) {
       const Range nr = thread_chunk(p.N, tid, threads_);
       if (nr.empty()) {
         // More threads than minibatch: this thread's copy never receives a

@@ -215,21 +215,10 @@ ConvPlan plan_default(const ConvParams& p, const PlanRequest& req) {
 
   // Register blocking (Section II-B): RBQ along the fast output dimension;
   // RBP > 1 only when Q alone cannot fill enough independent FMA chains.
-  plan.rbq = req.rbq > 0
-                 ? req.rbq
-                 : pick_block_extent(Q, std::min(max_acc, kFwdRbqCap),
-                                     kRbMinExtent);
-  if (req.rbp > 0) {
-    plan.rbp = req.rbp;
-  } else if (Q <= max_acc / 2 && plan.rbq == Q) {
-    plan.rbp = std::min(P, max_acc / plan.rbq);
-  } else {
-    plan.rbp = 1;
-  }
-  if (plan.rbp * plan.rbq > max_acc)
-    throw std::invalid_argument("ConvLayer: register blocking override " +
-                                std::to_string(plan.rbp) + "x" +
-                                std::to_string(plan.rbq) + " exceeds budget");
+  plan.rbq = pick_block_extent(Q, std::min(max_acc, kFwdRbqCap), kRbMinExtent);
+  plan.rbp = (Q <= max_acc / 2 && plan.rbq == Q)
+                 ? std::min(P, max_acc / plan.rbq)
+                 : 1;
 
   // 1x1 layers: pull the Cb loop into the kernel (Section II-C) so output
   // registers are reused Cb times. Only profitable with more than one block.
@@ -248,23 +237,15 @@ ConvPlan plan_default(const ConvParams& p, const PlanRequest& req) {
     }
 
     // Update pixel blocking + strategy (Section II-J).
-    plan.upd_bq = req.upd_bq > 0
-                      ? req.upd_bq
-                      : pick_block_extent(Q, kUpdBqCap, kUpdBlockMin);
-    plan.upd_bp = req.upd_bp > 0
-                      ? req.upd_bp
-                      : pick_block_extent(P, kUpdBpCap, kUpdBlockMin);
-    plan.upd_strategy = req.upd_strategy;
-    if (plan.upd_strategy == UpdStrategy::auto_pick) {
-      const std::int64_t act_traffic =
-          static_cast<std::int64_t>(p.input_elems()) +
-          static_cast<std::int64_t>(p.output_elems());
-      plan.upd_strategy = pick_upd_strategy(
-          p.N, kb, cb, p.R, p.S, act_traffic,
-          static_cast<std::int64_t>(kb) * cb * p.R * p.S * plan.vlen *
-              plan.vlen,
-          plan.threads);
-    }
+    plan.upd_bq = pick_block_extent(Q, kUpdBqCap, kUpdBlockMin);
+    plan.upd_bp = pick_block_extent(P, kUpdBpCap, kUpdBlockMin);
+    const std::int64_t act_traffic =
+        static_cast<std::int64_t>(p.input_elems()) +
+        static_cast<std::int64_t>(p.output_elems());
+    plan.upd_strategy = pick_upd_strategy(
+        p.N, kb, cb, p.R, p.S, act_traffic,
+        static_cast<std::int64_t>(kb) * cb * p.R * p.S * plan.vlen * plan.vlen,
+        plan.threads);
 
     // Loop-order traffic model: task_outer re-streams each input Cb slice
     // once per (kb, r, s) task touching it (and each dO Kb slice per
@@ -307,9 +288,9 @@ void ConvPlan::validate(const ConvParams& p, PlanPass pass) const {
   const int max_acc = jit::ConvKernelDesc::max_accumulators(kernel_isa(isa));
   if (rbp < 1 || rbq < 1) fail("non-positive register blocking");
   if (rbp * rbq > max_acc)
-    throw std::invalid_argument("ConvLayer: register blocking override " +
-                                std::to_string(rbp) + "x" +
-                                std::to_string(rbq) + " exceeds budget");
+    fail("register blocking " + std::to_string(rbp) + "x" +
+         std::to_string(rbq) + " exceeds the " + std::to_string(max_acc) +
+         "-accumulator budget");
   const int cb = tensor::ceil_div(p.C, vlen);
   if (cb_in_kernel && !(p.R == 1 && p.S == 1 && cb > 1))
     fail("cb_in_kernel set on a non-1x1 (or single-block) layer");
@@ -723,30 +704,28 @@ AutotuneScope::~AutotuneScope() { g_autotune_in_progress = false; }
 ConvPlan resolve_plan(const ConvParams& p, const PlanRequest& req,
                       const std::optional<ConvPlan>& explicit_plan) {
   const PlanPass pass = req.fwd_only ? PlanPass::fwd : PlanPass::train;
+  ConvPlan plan;
   if (explicit_plan.has_value()) {
-    const ConvPlan& plan = *explicit_plan;
+    plan = *explicit_plan;
     if (plan.isa != req.isa || plan.vlen != resolved_vlen(req.isa) ||
         plan.threads != (req.threads < 1 ? 1 : req.threads))
       throw std::invalid_argument(
           "ConvPlan: explicit plan was built for a different execution "
           "context (isa/vlen/threads) than the layer requests");
     plan.validate(p, pass);
-    return plan;
+  } else {
+    // Autotuning only applies to full training plans: forward-only layers
+    // are the internals of the backward duality (their blocking is covered
+    // by the parent search) and candidate constructions inside a running
+    // search must plan closed-form or the search would recurse.
+    const bool tune = pass == PlanPass::train && autotune_enabled_from_env() &&
+                      !autotune_in_progress();
+    plan = PlanCache::instance().get_or_create(req.key(p), [&] {
+      return tune ? autotune_plan(p, req).plan : plan_default(p, req);
+    });
   }
-  if (req.has_overrides()) return plan_default(p, req);
-
-  const PlanKey key = req.key(p);
-  // Autotuning only applies to full training plans: forward-only layers are
-  // the internals of the backward duality (their blocking is covered by the
-  // parent search) and candidate constructions inside a running search must
-  // plan closed-form or the search would recurse.
-  const bool tune = pass == PlanPass::train && autotune_enabled_from_env() &&
-                    !autotune_in_progress();
-  ConvPlan plan = PlanCache::instance().get_or_create(key, [&] {
-    return tune ? autotune_plan(p, req).plan : plan_default(p, req);
-  });
-  // Tuned decisions persist across processes; execution context (backend,
-  // stream mode, prefetch) always follows the constructing caller.
+  // Decisions come from the plan; execution context (backend, stream mode,
+  // prefetch) always follows the constructing caller.
   plan.backend = req.backend;
   plan.use_streams = req.use_streams;
   plan.prefetch = req.prefetch;

@@ -18,13 +18,16 @@
 //                   the cache and every later ConvLayer construction for the
 //                   same key picks them up with zero planning work.
 //
-// Resolution order in ConvLayer (resolve_plan):
-//   1. ConvOptions::plan        — explicit plan, used verbatim (validated),
-//   2. ConvOptions overrides    — rbp/rbq/upd_* ablation knobs bypass the
-//                                 cache and parameterize plan_default(),
-//   3. PlanCache::get_or_create — memory, then disk (XCONV_PLAN_CACHE),
+// Resolution order in ConvLayer (resolve_plan), two sources:
+//   1. ConvOptions::plan        — explicit plan, used as given (validated);
+//                                 the one way to pin a decision,
+//   2. PlanCache::get_or_create — memory, then disk (XCONV_PLAN_CACHE),
 //                                 then autotune (XCONV_AUTOTUNE=1) or
 //                                 plan_default().
+// Whatever the source, execution context follows the caller: the plan's
+// backend/use_streams/prefetch are replaced by the request's, and its
+// isa/vlen/threads must match the request's (an explicit plan that does not
+// match throws).
 // Corrupt, truncated or version-mismatched cache entries are reported on
 // stderr and fall back to plan_default() — a bad cache can cost performance
 // but never correctness.
@@ -207,8 +210,7 @@ struct PlanKey {
 // re-implementation across the fuzz shapes and both topo layer sets).
 // ---------------------------------------------------------------------------
 
-/// What a caller wants planned: execution context plus the ablation
-/// overrides ConvOptions exposes (0 / auto_pick = derive).
+/// What a caller wants planned: the execution context of the layer.
 struct PlanRequest {
   platform::Isa isa = platform::Isa::avx512;
   kernels::BackendPref backend = kernels::BackendPref::auto_pick;
@@ -216,16 +218,6 @@ struct PlanRequest {
   bool prefetch = true;
   int threads = 1;  ///< resolved thread count (>= 1)
   bool fwd_only = false;
-  int rbp = 0, rbq = 0;
-  int upd_bp = 0, upd_bq = 0;
-  UpdStrategy upd_strategy = UpdStrategy::auto_pick;
-
-  /// True when any ablation override is set — such requests bypass the
-  /// PlanCache (an override is an experiment, not a cacheable identity).
-  bool has_overrides() const {
-    return rbp > 0 || rbq > 0 || upd_bp > 0 || upd_bq > 0 ||
-           upd_strategy != UpdStrategy::auto_pick;
-  }
 
   PlanKey key(const ConvParams& p) const;
 };
@@ -236,12 +228,12 @@ struct PlanRequest {
 int pick_block_extent(int dim, int cap, int floor);
 
 /// The default plan: reproduces the historical inline heuristics
-/// bit-identically. Throws std::invalid_argument when an override breaks the
-/// register budget (same contract the inline code had).
+/// bit-identically.
 ConvPlan plan_default(const ConvParams& p, const PlanRequest& req);
 
-/// Full resolution as used by the ConvLayer constructor: explicit plan >
-/// overrides > cache (disk/autotune/default). See file header for order.
+/// Full resolution as used by the ConvLayer constructor: the explicit plan
+/// if given, else the cache (disk/autotune/default), with the request's
+/// execution context applied either way. See the file header.
 ConvPlan resolve_plan(const ConvParams& p, const PlanRequest& req,
                       const std::optional<ConvPlan>& explicit_plan);
 

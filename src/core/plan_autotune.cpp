@@ -141,11 +141,7 @@ AutotuneResult autotune_plan(const ConvParams& p, const PlanRequest& req,
   if (norm_req.threads < 1) norm_req.threads = 1;
   const PlanRequest& rq = norm_req;
 
-  PlanRequest base_req = rq;
-  base_req.rbp = base_req.rbq = 0;
-  base_req.upd_bp = base_req.upd_bq = 0;
-  base_req.upd_strategy = UpdStrategy::auto_pick;
-  const ConvPlan base = plan_default(p, base_req);
+  const ConvPlan base = plan_default(p, rq);
   const int max_acc =
       jit::ConvKernelDesc::max_accumulators(kernel_isa(rq.isa));
   const double gflop = static_cast<double>(p.flops()) / 1e9;

@@ -1,7 +1,8 @@
 // Wall-clock timing and simple benchmark statistics used by the bench
 // harness. The paper reports averages over 20 runs with ~3% run-to-run
-// variation; `BenchStats` records mean / median / min / stddev so benches can
-// report the same quantities (and a median that one slow run cannot skew).
+// variation; `BenchStats` records mean / median / min / stddev / quartiles so
+// benches can report the same quantities (and a median that one slow run
+// cannot skew).
 #pragma once
 
 #include <chrono>
@@ -30,6 +31,10 @@ struct BenchStats {
   double min_s = 0;
   double max_s = 0;
   double stddev_s = 0;
+  /// First and third quartile, as Python's statistics.quantiles(n=4)
+  /// computes them (its default 'exclusive' method; a single sample is its
+  /// own quartiles).
+  double q1_s = 0, q3_s = 0;
   int runs = 0;
 
   double gflops(std::size_t flops) const {
@@ -43,7 +48,15 @@ struct BenchStats {
   }
   /// Coefficient of variation (the paper's "run-to-run variation").
   double cv() const { return mean_s > 0 ? stddev_s / mean_s : 0.0; }
+  /// Interquartile range as a share of the median: the spread a change
+  /// must beat before one row can show it.
+  double iqr_share() const {
+    return median_s > 0 ? (q3_s - q1_s) / median_s : 0.0;
+  }
 };
+
+/// Statistics of measured run times (seconds, any order).
+BenchStats bench_stats(std::vector<double> samples_s);
 
 /// Run `fn` `warmup` times unmeasured, then `runs` times measured.
 BenchStats time_runs(const std::function<void()>& fn, int runs,

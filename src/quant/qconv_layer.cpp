@@ -5,22 +5,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-namespace xconv::quant {
+#include "core/plan.hpp"
 
-namespace {
-int pick_rbq(int q, int cap) {
-  if (q <= cap) return q;
-  int best = std::min(q, cap), best_score = -1;
-  for (int rb = std::min(q, cap); rb >= 2; --rb) {
-    const int score = (q % rb == 0 ? 1000 : 0) + rb;
-    if (score > best_score) {
-      best_score = score;
-      best = rb;
-    }
-  }
-  return best;
-}
-}  // namespace
+namespace xconv::quant {
 
 QConvLayer::QConvLayer(const core::ConvParams& p, int threads,
                        int flush_interval, platform::Isa isa,
@@ -42,7 +29,7 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
   const int P = p.P(), Q = p.Q();
   const int in_cb = tensor::ceil_div(p.C, v);
   const int out_kb = tensor::ceil_div(p.K, v);
-  const int rbq = pick_rbq(Q, 13);  // 13 = JIT register budget
+  const int rbq = core::pick_block_extent(Q, 13, 2);  // 13 = JIT budget
   const int q_full = Q / rbq, q_rem = Q % rbq;
   const int n_qb = q_full + (q_rem > 0 ? 1 : 0);
   const float scale = qin.scale * qwt.scale;
@@ -120,34 +107,14 @@ void QConvLayer::backward(const QActTensor& qgrad_out,
         "(quantize_wt_bwd)");
   if (p_.stride_h == 1 && p_.stride_w == 1) {
     // Duality scenario 1: forward convolution of dO with the dual weights.
-    core::ConvParams dual;
-    dual.N = p_.N;
-    dual.C = p_.K;
-    dual.K = p_.C;
-    dual.H = p_.P();
-    dual.W = p_.Q();
-    dual.R = p_.R;
-    dual.S = p_.S;
-    dual.stride_h = dual.stride_w = 1;
-    dual.pad_h = p_.R - 1 - p_.pad_h;
-    dual.pad_w = p_.S - 1 - p_.pad_w;
-    forward_generic(qgrad_out, qwt_bwd, grad_in, dual,
+    forward_generic(qgrad_out, qwt_bwd, grad_in, p_.dual(),
                     /*scatter_strided=*/false);
     return;
   }
   if (p_.R == 1 && p_.S == 1 && p_.pad_h == 0 && p_.pad_w == 0) {
     // Duality scenario 2: dense 1x1 conv over dO scattered into dI.
     grad_in.zero();
-    core::ConvParams dual;
-    dual.N = p_.N;
-    dual.C = p_.K;
-    dual.K = p_.C;
-    dual.H = p_.P();
-    dual.W = p_.Q();
-    dual.R = dual.S = 1;
-    dual.stride_h = dual.stride_w = 1;
-    dual.pad_h = dual.pad_w = 0;
-    forward_generic(qgrad_out, qwt_bwd, grad_in, dual,
+    forward_generic(qgrad_out, qwt_bwd, grad_in, p_.dual(),
                     /*scatter_strided=*/true);
     return;
   }
@@ -176,16 +143,19 @@ void QConvLayer::update(const QActTensor& qin, const QActTensor& qgrad_out,
   const std::int64_t in_row =
       static_cast<std::int64_t>(phases) * in_pairs * pair_elems;
   const std::int64_t dov_row = static_cast<std::int64_t>(q2) * pair_elems;
-  tensor::AlignedBuffer<std::int16_t> inv(
-      static_cast<std::size_t>(p_.N) * cb_ * qin.hp * in_row);
-  tensor::AlignedBuffer<std::int16_t> dov(
-      static_cast<std::size_t>(p_.N) * kb_ * P * dov_row);
+  // Grow-only scratch: steady-state calls reuse it without allocating.
+  const std::size_t inv_elems =
+      static_cast<std::size_t>(p_.N) * cb_ * qin.hp * in_row;
+  const std::size_t dov_elems =
+      static_cast<std::size_t>(p_.N) * kb_ * P * dov_row;
+  if (inv_.size() < inv_elems) inv_.resize(inv_elems);
+  if (dov_.size() < dov_elems) dov_.resize(dov_elems);
 #pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < p_.N; ++n) {
     for (int cbi = 0; cbi < cb_; ++cbi) {
       for (int y = 0; y < qin.hp; ++y) {
         std::int16_t* dst =
-            inv.data() +
+            inv_.data() +
             ((static_cast<std::int64_t>(n) * cb_ + cbi) * qin.hp + y) * in_row;
         // Phase ph holds the Q pixels of each of its taps, the last tap
         // starting 2 * ((S - 1 - ph) / period) pixels in.
@@ -202,7 +172,7 @@ void QConvLayer::update(const QActTensor& qin, const QActTensor& qgrad_out,
       for (int oj = 0; oj < P; ++oj)
         interleave_pairs(
             qgrad_out.at(n, kbi, oj, 0), Q, 1, v,
-            dov.data() +
+            dov_.data() +
                 ((static_cast<std::int64_t>(n) * kb_ + kbi) * P + oj) *
                     dov_row);
     }
@@ -247,12 +217,12 @@ void QConvLayer::update(const QActTensor& qin, const QActTensor& qgrad_out,
       for (int oj0 = 0; oj0 < P; oj0 += rows) {
         const int y = oj0 * p_.stride_h + r;
         const std::int16_t* irow =
-            inv.data() +
+            inv_.data() +
             ((static_cast<std::int64_t>(n) * cb_ + cbi) * qin.hp + y) *
                 in_row +
             in_off;
         const std::int16_t* grow =
-            dov.data() +
+            dov_.data() +
             ((static_cast<std::int64_t>(n) * kb_ + kbi) * P + oj0) * dov_row;
         (n == 0 && oj0 == 0 ? k_first : k_acc)->run(irow, grow, dw, scale);
       }

@@ -46,7 +46,9 @@ class QConvLayer {
   void backward(const QActTensor& qgrad_out, const QWtTensor& qwt_bwd,
                 tensor::ActTensor& grad_in);
 
-  /// grad_wt (fp32 forward-form) from quantized input and grad_out.
+  /// grad_wt (fp32 forward-form) from quantized input and grad_out. Not
+  /// reentrant: the interleaved copies live in per-layer scratch, so one
+  /// layer must not run two updates at once (neither may a ConvLayer).
   void update(const QActTensor& qin, const QActTensor& qgrad_out,
               tensor::WtTensor& grad_wt);
 
@@ -59,6 +61,8 @@ class QConvLayer {
   platform::Isa isa_;
   kernels::BackendPref backend_;
   std::optional<kernels::Backend> ran_;
+  /// update()'s pair-interleaved input and dO copies (grow-only).
+  tensor::AlignedBuffer<std::int16_t> inv_, dov_;
 
   void forward_generic(const QActTensor& qin, const QWtTensor& qwt,
                        tensor::ActTensor& out, const core::ConvParams& p,

@@ -8,7 +8,7 @@
 using namespace xconv;
 using xconv::testing::ConvProblem;
 using xconv::testing::expect_close;
-using BwdAlgo = core::ConvLayer::BwdAlgo;
+using core::BwdAlgo;
 
 namespace {
 core::ConvParams small_table1(int idx, int n = 1) {
@@ -34,13 +34,13 @@ INSTANTIATE_TEST_SUITE_P(AllLayers, BwdTable1, ::testing::Range(0, 20));
 TEST(Bwd, AlgoSelectionFollowsPaperScenarios) {
   // Section II-I scenario 1: stride == 1 -> duality.
   core::ConvLayer s1(core::make_conv(1, 16, 16, 8, 8, 3, 3, 1));
-  EXPECT_EQ(s1.bwd_algo(), BwdAlgo::duality_stride1);
+  EXPECT_EQ(s1.plan().bwd_algo, BwdAlgo::duality_stride1);
   // Scenario 2: R = S = 1, stride 2 -> scattered duality.
   core::ConvLayer s2(core::make_conv(1, 16, 16, 8, 8, 1, 1, 2, 0));
-  EXPECT_EQ(s2.bwd_algo(), BwdAlgo::duality_1x1_strided);
+  EXPECT_EQ(s2.plan().bwd_algo, BwdAlgo::duality_1x1_strided);
   // Neither: 3x3 stride 2 -> Algorithm 7.
   core::ConvLayer s3(core::make_conv(1, 16, 16, 9, 9, 3, 3, 2));
-  EXPECT_EQ(s3.bwd_algo(), BwdAlgo::gemm_fallback);
+  EXPECT_EQ(s3.plan().bwd_algo, BwdAlgo::gemm_fallback);
 }
 
 TEST(Bwd, Stride1DualityPerRSCombos) {
@@ -48,7 +48,7 @@ TEST(Bwd, Stride1DualityPerRSCombos) {
     const auto p = core::make_conv(1, 16, 32, 11, 13, r, r, 1);
     ConvProblem pr(p, 100 + r);
     core::ConvLayer layer(p);
-    EXPECT_EQ(layer.bwd_algo(), BwdAlgo::duality_stride1);
+    EXPECT_EQ(layer.plan().bwd_algo, BwdAlgo::duality_stride1);
     expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3,
                  p.to_string().c_str());
   }
@@ -59,7 +59,7 @@ TEST(Bwd, Strided1x1VariousStrides) {
     const auto p = core::make_conv(1, 32, 16, 12, 12, 1, 1, s, 0);
     ConvProblem pr(p, 200 + s);
     core::ConvLayer layer(p);
-    EXPECT_EQ(layer.bwd_algo(), BwdAlgo::duality_1x1_strided);
+    EXPECT_EQ(layer.plan().bwd_algo, BwdAlgo::duality_1x1_strided);
     expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3,
                  p.to_string().c_str());
   }
@@ -70,7 +70,7 @@ TEST(Bwd, GemmFallbackStridedOddShapes) {
   const auto p = core::make_conv(2, 16, 16, 15, 13, 3, 3, 2);
   ConvProblem pr(p, 7);
   core::ConvLayer layer(p);
-  EXPECT_EQ(layer.bwd_algo(), BwdAlgo::gemm_fallback);
+  EXPECT_EQ(layer.plan().bwd_algo, BwdAlgo::gemm_fallback);
   expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "odd gemm");
 }
 

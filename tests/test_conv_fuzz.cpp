@@ -3,11 +3,13 @@
 // that are not vector multiples, rectangular filters/images, every stride /
 // padding combination the layer supports). Execution mode is fuzzed too:
 // stream replay vs branchy drivers, thread counts, fused operators and
-// register/pixel-block overrides that force edge-block (p_rem_/q_rem_ > 0)
+// plans with register/pixel blocks that force edge-block (p_rem_/q_rem_ > 0)
 // kernels into the streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
 #include <random>
 
 #include "test_helpers.hpp"
@@ -16,6 +18,7 @@ using namespace xconv;
 using xconv::testing::ConvProblem;
 using xconv::testing::expect_bitwise;
 using xconv::testing::expect_close;
+using xconv::testing::with_plan;
 
 namespace {
 
@@ -48,25 +51,46 @@ core::ConvParams random_params(unsigned seed) {
   return core::make_conv(1, 16, 16, 8, 8, 3, 3, 1);
 }
 
-// Randomized execution mode: stream vs branchy, thread count, update
-// strategy, and occasional blocking overrides that force edge kernels.
-core::ConvOptions random_options(unsigned seed) {
+// Randomized execution mode: stream vs branchy (unless `streams` pins it),
+// thread count, and plan edits — update strategy and occasional
+// register/pixel blocking that force edge kernels. The edits go through an
+// explicit plan derived from the default for the drawn (or pinned) mode.
+core::ConvOptions random_options(const core::ConvParams& p, unsigned seed,
+                                 std::optional<bool> streams = {}) {
   std::mt19937 rng(seed * 7919u + 13u);
   core::ConvOptions o;
   o.use_streams = (rng() % 2) == 0;
+  if (streams.has_value()) o.use_streams = *streams;
   o.threads = 1 + static_cast<int>(rng() % 3);
+  std::optional<core::UpdStrategy> strategy;
   switch (rng() % 4) {
-    case 0: o.upd_strategy = core::UpdStrategy::task; break;
-    case 1: o.upd_strategy = core::UpdStrategy::minibatch; break;
-    case 2: o.upd_strategy = core::UpdStrategy::hybrid; break;
-    default: break;  // auto_pick
+    case 0: strategy = core::UpdStrategy::task; break;
+    case 1: strategy = core::UpdStrategy::minibatch; break;
+    case 2: strategy = core::UpdStrategy::hybrid; break;
+    default: break;  // plan default
   }
-  if (rng() % 3 == 0) o.rbq = 3 + static_cast<int>(rng() % 3);
+  int rbq = 0, upd_bp = 0, upd_bq = 0;
+  if (rng() % 3 == 0) rbq = 3 + static_cast<int>(rng() % 3);
   if (rng() % 3 == 0) {
-    o.upd_bp = 2 + static_cast<int>(rng() % 2);
-    o.upd_bq = 3 + static_cast<int>(rng() % 3);
+    upd_bp = 2 + static_cast<int>(rng() % 2);
+    upd_bq = 3 + static_cast<int>(rng() % 3);
   }
-  return o;
+  if (!strategy.has_value() && rbq == 0 && upd_bp == 0) return o;
+  return with_plan(p, o, [&](core::ConvPlan& plan) {
+    if (strategy.has_value()) plan.upd_strategy = *strategy;
+    // A register block other than the default is not a full row of Q, so
+    // the default rule would give it one row (rbp = 1).
+    if (rbq > 0 && rbq != plan.rbq) {
+      plan.rbq = rbq;
+      plan.rbp = 1;
+    }
+    // validate() bounds pixel blocks by P x Q; a larger block would run as
+    // one edge block over the whole dimension, i.e. the same kernel calls.
+    if (upd_bp > 0) {
+      plan.upd_bp = std::min(upd_bp, p.P());
+      plan.upd_bq = std::min(upd_bq, p.Q());
+    }
+  });
 }
 
 }  // namespace
@@ -75,7 +99,7 @@ class ConvFuzz : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ConvFuzz, ForwardMatchesNaive) {
   const auto p = random_params(GetParam());
-  const auto o = random_options(GetParam());
+  const auto o = random_options(p, GetParam());
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam());
   core::ConvLayer layer(p, o);
@@ -84,7 +108,7 @@ TEST_P(ConvFuzz, ForwardMatchesNaive) {
 
 TEST_P(ConvFuzz, BackwardMatchesNaive) {
   const auto p = random_params(GetParam());
-  const auto o = random_options(GetParam() + 500);
+  const auto o = random_options(p, GetParam() + 500);
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam() + 1000);
   core::ConvLayer layer(p, o);
@@ -93,7 +117,7 @@ TEST_P(ConvFuzz, BackwardMatchesNaive) {
 
 TEST_P(ConvFuzz, UpdateMatchesNaive) {
   const auto p = random_params(GetParam());
-  const auto o = random_options(GetParam() + 600);
+  const auto o = random_options(p, GetParam() + 600);
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam() + 2000);
   core::ConvLayer layer(p, o);
@@ -103,7 +127,7 @@ TEST_P(ConvFuzz, UpdateMatchesNaive) {
 TEST_P(ConvFuzz, AdjointPropertyHolds) {
   // <conv(x; W), y> == <x, conv_bwd(y; W)> through the optimized layer.
   const auto p = random_params(GetParam());
-  const auto o = random_options(GetParam() + 700);
+  const auto o = random_options(p, GetParam() + 700);
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam() + 3000);
   core::ConvLayer layer(p, o);
@@ -121,18 +145,18 @@ TEST_P(ConvFuzz, StreamReplayMatchesBranchyBitwise) {
   // The defining property of replay (old fwd path and the new bwd/upd
   // paths): the same kernel-call sequence as the branchy driver, hence
   // bit-identical results — over random shapes, thread counts, update
-  // strategies, blocking overrides and the in-kernel fused ReLU.
+  // strategies, pinned blockings and the in-kernel fused ReLU.
   const auto p = random_params(GetParam());
-  auto o = random_options(GetParam() + 800);
+  auto branchy_o = random_options(p, GetParam() + 800, false);
+  auto stream_o = random_options(p, GetParam() + 800, true);
   std::mt19937 rng(GetParam() * 31u + 7u);
-  o.fuse = (rng() % 2 == 0) ? core::FusedOp::relu : core::FusedOp::none;
+  branchy_o.fuse = stream_o.fuse =
+      (rng() % 2 == 0) ? core::FusedOp::relu : core::FusedOp::none;
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam() + 4000);
 
-  o.use_streams = false;
-  core::ConvLayer branchy(p, o);
-  o.use_streams = true;
-  core::ConvLayer stream(p, o);
+  core::ConvLayer branchy(p, branchy_o);
+  core::ConvLayer stream(p, stream_o);
 
   expect_bitwise(layer_forward(branchy, pr), layer_forward(stream, pr),
                  "fwd stream-vs-branchy");

@@ -8,6 +8,7 @@
 using namespace xconv;
 using xconv::testing::ConvProblem;
 using xconv::testing::expect_close;
+using xconv::testing::with_plan;
 
 namespace {
 core::ConvParams small_table1(int idx, int n = 1) {
@@ -79,20 +80,23 @@ TEST(Fwd, RegisterBlockingOverride) {
   const auto p = core::make_conv(1, 16, 16, 12, 12, 3, 3, 1);
   ConvProblem pr(p);
   for (int rbq : {3, 4, 6, 12}) {
-    core::ConvOptions o;
-    o.rbq = rbq;
-    o.rbp = 1;
-    core::ConvLayer layer(p, o);
-    EXPECT_EQ(layer.fwd_rbq(), rbq);
+    core::ConvLayer layer(
+        p, with_plan(p, {}, [rbq](core::ConvPlan& plan) {
+          plan.rbp = 1;
+          plan.rbq = rbq;
+        }));
+    EXPECT_EQ(layer.plan().rbq, rbq);
     expect_close(naive_fwd(pr), layer_forward(layer, pr), 2e-3, "rbq");
   }
 }
 
 TEST(Fwd, RegisterBudgetOverrideRejected) {
   const auto p = core::make_conv(1, 16, 16, 32, 32, 3, 3, 1);
+  core::ConvPlan plan = core::ConvLayer(p).plan();
+  plan.rbp = 4;
+  plan.rbq = 14;  // 56 accumulators
   core::ConvOptions o;
-  o.rbp = 4;
-  o.rbq = 14;  // 56 accumulators
+  o.plan = plan;
   EXPECT_THROW(core::ConvLayer(p, o), std::invalid_argument);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -53,6 +54,20 @@ inline void expect_bitwise(const std::vector<float>& a,
   if (std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0) return;
   for (std::size_t i = 0; i < a.size(); ++i)
     ASSERT_EQ(a[i], b[i]) << what << " diverges at element " << i;
+}
+
+/// Edits to a layer's default plan; how tests pin planning decisions.
+using PlanEdit = std::function<void(core::ConvPlan&)>;
+
+/// `o` with `edit` applied to the plan a layer built from `o` resolves by
+/// default, set as o.plan (unchanged `o` when `edit` is empty).
+inline core::ConvOptions with_plan(const core::ConvParams& p,
+                                   core::ConvOptions o, const PlanEdit& edit) {
+  if (!edit) return o;
+  core::ConvPlan plan = core::ConvLayer(p, o).plan();
+  edit(plan);
+  o.plan = plan;
+  return o;
 }
 
 /// Run ConvLayer forward on dense data; returns dense output.

@@ -306,8 +306,9 @@ TEST(PlanLegacyDiff, FuzzShapes) {
 }
 
 TEST(PlanLegacyDiff, LayerExecutesItsPlan) {
-  // The decisions ConvLayer reports through its introspection accessors are
-  // exactly the resolved plan's fields — setup only executes the plan.
+  // With nothing pinned, a layer executes exactly the default plan for its
+  // context — setup only executes the plan, and plan() is where the layer
+  // keeps its decisions.
   const auto& table = topo::resnet50_table1();
   for (std::size_t i = 0; i < std::min<std::size_t>(table.size(), 4); ++i) {
     const auto p = topo::table1_params(table[i], 2);
@@ -316,12 +317,13 @@ TEST(PlanLegacyDiff, LayerExecutesItsPlan) {
     core::ConvLayer layer(p, o);
     const ConvPlan& plan = layer.plan();
     SCOPED_TRACE(p.to_string());
-    EXPECT_EQ(layer.fwd_rbp(), plan.rbp);
-    EXPECT_EQ(layer.fwd_rbq(), plan.rbq);
-    EXPECT_EQ(layer.bwd_algo(), plan.bwd_algo);
-    EXPECT_EQ(layer.upd_strategy_used(), plan.upd_strategy);
-    EXPECT_EQ(layer.upd_bp(), plan.upd_bp);
-    EXPECT_EQ(layer.upd_bq(), plan.upd_bq);
+    PlanRequest req;
+    req.isa = o.isa;
+    req.backend = o.backend;
+    req.use_streams = o.use_streams;
+    req.prefetch = o.prefetch;
+    req.threads = o.threads;
+    EXPECT_EQ(plan, core::plan_default(p, req));
     EXPECT_EQ(layer.vlen(), plan.vlen);
     EXPECT_EQ(layer.threads(), plan.threads);
     EXPECT_FALSE(plan.tuned);
@@ -348,12 +350,21 @@ TEST(PlanCrossover, ForwardRegisterBlocking) {
   plan = core::plan_default(core::make_conv(1, 64, 64, 7, 7, 3, 3, 1), req);
   EXPECT_EQ(plan.rbq, 7);
   EXPECT_EQ(plan.rbp, 4);
-  // Overrides exceeding the 28-accumulator budget throw (legacy contract).
-  req.rbp = 3;
-  req.rbq = 10;
-  EXPECT_THROW(
-      core::plan_default(core::make_conv(1, 16, 16, 12, 12, 3, 3, 1), req),
-      std::invalid_argument);
+  // A pinned 3x10 blocking exceeds the 28-accumulator budget: validate()
+  // rejects it, naming the plan and the layer.
+  const auto p12 = core::make_conv(1, 16, 16, 12, 12, 3, 3, 1);
+  plan = core::plan_default(p12, req);
+  plan.rbp = 3;
+  plan.rbq = 10;
+  try {
+    plan.validate(p12, PlanPass::train);
+    ADD_FAILURE() << "3x10 register blocking passed validate()";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "ConvPlan: register blocking 3x10 exceeds the 28-accumulator "
+              "budget for " +
+                  p12.to_string());
+  }
 }
 
 TEST(PlanCrossover, CbInKernelOnlyForMultiBlock1x1) {
@@ -522,11 +533,12 @@ TEST(PlanKeyTest, DistinctContextsDistinctKeys) {
 TEST(PlanSerialization, RoundTripEveryField) {
   // Vary every serialized field across the sample: isa/vlen (avx2=8),
   // threads, backend, streams/prefetch, all three bwd algos, strategies,
-  // blocking overrides and the tuned flag.
+  // pinned blockings and the tuned flag.
   struct Case {
     core::ConvParams p;
     PlanRequest req;
     bool tuned;
+    xconv::testing::PlanEdit edit;  ///< applied to the default plan
   };
   std::vector<Case> cases;
   {
@@ -561,24 +573,29 @@ TEST(PlanSerialization, RoundTripEveryField) {
   {
     Case c{core::make_conv(4, 64, 64, 28, 28, 3, 3, 1), {}, true};
     c.req.threads = 16;
-    c.req.rbp = 2;
-    c.req.rbq = 14;
-    c.req.upd_bp = 4;
-    c.req.upd_bq = 14;
-    c.req.upd_strategy = UpdStrategy::hybrid;
-    cases.push_back(c);  // every override exercised
+    c.edit = [](ConvPlan& plan) {
+      plan.rbp = 2;
+      plan.rbq = 14;
+      plan.upd_bp = 4;
+      plan.upd_bq = 14;
+      plan.upd_strategy = UpdStrategy::hybrid;
+    };
+    cases.push_back(c);  // every pinnable decision edited
   }
   {
     Case c{core::make_conv(4, 64, 64, 28, 28, 3, 3, 1), {}, false};
     c.req.threads = 4;
-    c.req.upd_strategy = UpdStrategy::minibatch;
     c.req.backend = kernels::BackendPref::jit;
+    c.edit = [](ConvPlan& plan) {
+      plan.upd_strategy = UpdStrategy::minibatch;
+    };
     cases.push_back(c);
   }
 
   for (const auto& c : cases) {
     SCOPED_TRACE(c.p.to_string());
     ConvPlan plan = core::plan_default(c.p, c.req);
+    if (c.edit) c.edit(plan);
     plan.tuned = c.tuned;
     const PlanKey key = c.req.key(c.p);
     const std::string json = plan.to_json(key);
@@ -830,7 +847,7 @@ TEST(PlanExplicit, LayerHonorsExplicitPlanBitwise) {
   core::ConvOptions o;
   o.threads = 1;
   core::ConvLayer def(p, o);
-  ASSERT_EQ(def.fwd_rbq(), 14);
+  ASSERT_EQ(def.plan().rbq, 14);
 
   // Same decisions, different blocking: rbq 7 instead of 14. Forward
   // register blocking partitions the output pixels without changing any
@@ -841,7 +858,7 @@ TEST(PlanExplicit, LayerHonorsExplicitPlanBitwise) {
   core::ConvOptions oe = o;
   oe.plan = alt;
   core::ConvLayer exp(p, oe);
-  EXPECT_EQ(exp.fwd_rbq(), 7);
+  EXPECT_EQ(exp.plan().rbq, 7);
   EXPECT_EQ(exp.plan(), alt);
   expect_bitwise(layer_forward(def, pr),
                           layer_forward(exp, pr),
@@ -854,8 +871,8 @@ TEST(PlanExplicit, LayerHonorsExplicitPlanBitwise) {
   core::ConvOptions ou = o;
   ou.plan = ualt;
   core::ConvLayer uexp(p, ou);
-  EXPECT_EQ(uexp.upd_bp(), 2);
-  EXPECT_EQ(uexp.upd_bq(), 7);
+  EXPECT_EQ(uexp.plan().upd_bp, 2);
+  EXPECT_EQ(uexp.plan().upd_bq, 7);
   expect_close(layer_update(def, pr),
                         layer_update(uexp, pr), 2e-3,
                         "explicit-plan upd");
@@ -888,6 +905,29 @@ TEST(PlanExplicit, RejectsWrongContextAndInvalidPlans) {
   core::ConvOptions os = o;
   os.plan = unresolved;
   EXPECT_THROW(core::ConvLayer(p, os), std::invalid_argument);
+}
+
+TEST(PlanExplicit, CallerExecutionContextWins) {
+  // backend / use_streams / prefetch follow the constructing caller for
+  // every plan source, an explicit plan included: a plan resolved branchy
+  // still replays streams when the caller asks for them.
+  const auto p = core::make_conv(2, 16, 32, 14, 14, 3, 3, 1);
+  core::ConvOptions o;
+  o.threads = 1;
+  o.use_streams = false;
+  o.prefetch = false;
+  const ConvPlan branchy = core::ConvLayer(p, o).plan();
+  ASSERT_FALSE(branchy.use_streams);
+
+  core::ConvOptions os = o;
+  os.use_streams = true;
+  os.prefetch = true;
+  os.plan = branchy;
+  core::ConvLayer layer(p, os);
+  EXPECT_TRUE(layer.plan().use_streams);
+  EXPECT_TRUE(layer.plan().prefetch);
+  EXPECT_GT(layer.fwd_stream_convs(), 0u);
+  EXPECT_GT(layer.upd_stream_calls(), 0u);
 }
 
 TEST(PlanSteadyState, SecondConstructionIsPureCacheHits) {

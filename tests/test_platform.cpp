@@ -159,6 +159,33 @@ TEST(Timer, BenchStatsBasics) {
   EXPECT_GE(st.max_s, st.median_s);
 }
 
+TEST(Timer, BenchStatsQuartilesMatchPythonStatistics) {
+  // Reference values: statistics.quantiles(samples, n=4) in Python.
+  auto st = platform::bench_stats({5, 1, 4, 2, 3});
+  EXPECT_EQ(st.runs, 5);
+  EXPECT_DOUBLE_EQ(st.median_s, 3.0);
+  EXPECT_DOUBLE_EQ(st.q1_s, 1.5);
+  EXPECT_DOUBLE_EQ(st.q3_s, 4.5);
+  EXPECT_DOUBLE_EQ(st.iqr_share(), 1.0);
+  st = platform::bench_stats({0.1, 0.4, 0.2, 0.3});
+  EXPECT_DOUBLE_EQ(st.q1_s, 0.125);
+  EXPECT_DOUBLE_EQ(st.q3_s, 0.375);
+  st = platform::bench_stats({1, 2});  // 'exclusive' extrapolates at n=2
+  EXPECT_DOUBLE_EQ(st.q1_s, 0.75);
+  EXPECT_DOUBLE_EQ(st.q3_s, 2.25);
+  st = platform::bench_stats({7});
+  EXPECT_DOUBLE_EQ(st.q1_s, 7.0);
+  EXPECT_DOUBLE_EQ(st.q3_s, 7.0);
+  EXPECT_DOUBLE_EQ(st.iqr_share(), 0.0);
+
+  // time_runs reports the same statistics of its own samples.
+  st = platform::time_runs([] {}, 5, 1);
+  EXPECT_LE(st.min_s, st.q1_s);
+  EXPECT_LE(st.q1_s, st.median_s);
+  EXPECT_LE(st.median_s, st.q3_s);
+  EXPECT_LE(st.q3_s, st.max_s);
+}
+
 TEST(Timer, GflopsComputation) {
   platform::BenchStats st;
   st.mean_s = 0.5;

@@ -350,6 +350,23 @@ TEST(QConv, UnsupportedStridedNon1x1BackwardThrows) {
   EXPECT_THROW(q.backward(qdout, qwt_bwd, bdin), std::invalid_argument);
 }
 
+TEST(QConv, BackwardPadBeyondFilterThrowsLikeFp32) {
+  // pad 1 on a 1x1 filter has no duality transform (pad' = R-1-pad < 0):
+  // int16 backward must reject it the way fp32 layer construction does.
+  const auto p = core::make_conv(1, 16, 16, 8, 8, 1, 1, 1, 1);
+  EXPECT_THROW(core::ConvLayer{p}, std::invalid_argument);
+  core::ConvOptions o;
+  o.fwd_only = true;  // tensors only: a forward-only layer has no dual
+  core::ConvLayer ref_layer(p, o);
+  quant::QConvLayer q(p, 1);
+  auto bdout = ref_layer.make_output();
+  auto bwt = ref_layer.make_weights();
+  const auto qdout = quant::quantize_act(bdout);
+  const auto qwt_bwd = quant::quantize_wt_bwd(bwt);
+  auto bdin = ref_layer.make_input();
+  EXPECT_THROW(q.backward(qdout, qwt_bwd, bdin), std::invalid_argument);
+}
+
 TEST(QConv, BackwardRequiresDualWeights) {
   const auto p = core::make_conv(1, 32, 16, 8, 8, 1, 1, 1, 0);
   quant::QConvLayer q(p);

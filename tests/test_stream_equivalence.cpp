@@ -17,50 +17,62 @@ using core::FusedOp;
 using core::UpdStrategy;
 using xconv::testing::ConvProblem;
 using xconv::testing::expect_bitwise;
+using xconv::testing::PlanEdit;
+using xconv::testing::with_plan;
 
 namespace {
 
-ConvOptions with_streams(ConvOptions o, bool streams) {
+// Each stream mode gets its own plan, derived from options with that mode.
+ConvOptions with_streams(const ConvParams& p, ConvOptions o, bool streams,
+                         const PlanEdit& edit) {
   o.use_streams = streams;
-  return o;
+  return with_plan(p, o, edit);
 }
 
 void expect_fwd_equivalence(const ConvParams& p, const ConvOptions& o,
-                            unsigned seed, const char* what) {
+                            unsigned seed, const char* what,
+                            const PlanEdit& edit = {}) {
   ConvProblem pr(p, seed);
-  core::ConvLayer branchy(p, with_streams(o, false));
-  core::ConvLayer stream(p, with_streams(o, true));
+  core::ConvLayer branchy(p, with_streams(p, o, false, edit));
+  core::ConvLayer stream(p, with_streams(p, o, true, edit));
   expect_bitwise(layer_forward(branchy, pr), layer_forward(stream, pr), what);
 }
 
 void expect_bwd_equivalence(const ConvParams& p, const ConvOptions& o,
                             unsigned seed, const char* what) {
   ConvProblem pr(p, seed);
-  core::ConvLayer branchy(p, with_streams(o, false));
-  core::ConvLayer stream(p, with_streams(o, true));
+  core::ConvLayer branchy(p, with_streams(p, o, false, {}));
+  core::ConvLayer stream(p, with_streams(p, o, true, {}));
   expect_bitwise(layer_backward(branchy, pr), layer_backward(stream, pr),
                  what);
 }
 
 void expect_upd_equivalence(const ConvParams& p, const ConvOptions& o,
-                            unsigned seed, const char* what) {
+                            unsigned seed, const char* what,
+                            const PlanEdit& edit) {
   ConvProblem pr(p, seed);
-  core::ConvLayer branchy(p, with_streams(o, false));
-  core::ConvLayer stream(p, with_streams(o, true));
+  core::ConvLayer branchy(p, with_streams(p, o, false, edit));
+  core::ConvLayer stream(p, with_streams(p, o, true, edit));
   EXPECT_GT(stream.upd_stream_calls(), 0u) << what;
   expect_bitwise(layer_update(branchy, pr), layer_update(stream, pr), what);
+}
+
+PlanEdit upd_strategy_edit(UpdStrategy strategy) {
+  return [strategy](core::ConvPlan& plan) { plan.upd_strategy = strategy; };
 }
 
 }  // namespace
 
 TEST(StreamEquivalence, ForwardWithEdgeBlocks) {
-  // rbq override forces q_rem > 0 and p_rem > 0 edge kernels into the
-  // stream.
+  // 2x4 register blocks on a 9x9 output force q_rem > 0 and p_rem > 0
+  // edge kernels into the stream.
   ConvOptions o;
-  o.rbq = 4;
   o.threads = 3;
   expect_fwd_equivalence(core::make_conv(2, 16, 32, 9, 9, 3, 3, 1), o, 11,
-                         "fwd 3x3 edge blocks");
+                         "fwd 3x3 edge blocks", [](core::ConvPlan& plan) {
+                           plan.rbp = 2;
+                           plan.rbq = 4;
+                         });
 }
 
 TEST(StreamEquivalence, BackwardDualityStride1) {
@@ -78,7 +90,7 @@ TEST(StreamEquivalence, Backward1x1StridedReplaysStream) {
   ConvOptions o;
   o.threads = 2;
   core::ConvLayer probe(p, o);
-  ASSERT_EQ(probe.bwd_algo(), core::ConvLayer::BwdAlgo::duality_1x1_strided);
+  ASSERT_EQ(probe.plan().bwd_algo, core::BwdAlgo::duality_1x1_strided);
   EXPECT_GT(probe.bwd_stream_convs(), 0u);
   expect_bwd_equivalence(p, o, 13, "bwd 1x1 strided");
 }
@@ -90,7 +102,7 @@ TEST(StreamEquivalence, BackwardGemmFallbackUnaffected) {
   ConvOptions o;
   o.threads = 2;
   core::ConvLayer probe(p, o);
-  ASSERT_EQ(probe.bwd_algo(), core::ConvLayer::BwdAlgo::gemm_fallback);
+  ASSERT_EQ(probe.plan().bwd_algo, core::BwdAlgo::gemm_fallback);
   EXPECT_EQ(probe.bwd_stream_convs(), 0u);
   expect_bwd_equivalence(p, o, 14, "bwd gemm fallback");
 }
@@ -100,15 +112,17 @@ class StreamUpdEquivalence
 
 TEST_P(StreamUpdEquivalence, BitIdenticalAcrossStrategiesAndThreads) {
   const auto [strategy, threads] = GetParam();
-  // Pixel-block overrides force upd_pb_rem_/upd_qb_rem_ > 0 so the edge
-  // update kernels appear in the streams.
+  // 2x4 pixel blocks on a 9x9 output force upd_pb_rem_/upd_qb_rem_ > 0 so
+  // the edge update kernels appear in the streams.
   ConvOptions o;
-  o.upd_strategy = strategy;
   o.threads = threads;
-  o.upd_bp = 2;
-  o.upd_bq = 4;
   expect_upd_equivalence(core::make_conv(4, 16, 32, 9, 9, 3, 3, 1), o,
-                         20 + threads, core::upd_strategy_name(strategy));
+                         20 + threads, core::upd_strategy_name(strategy),
+                         [s = strategy](core::ConvPlan& plan) {
+                           plan.upd_strategy = s;
+                           plan.upd_bp = 2;
+                           plan.upd_bq = 4;
+                         });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -131,12 +145,14 @@ TEST_P(StreamUpdPlanAxes, LoopOrderAndReduceJitAreBitwiseNeutral) {
   const auto p = core::make_conv(4, 16, 32, 9, 9, 3, 3, 1);
   ConvProblem pr(p, 50 + threads);
   ConvOptions o;
-  o.upd_strategy = strategy;
   o.threads = threads;
-  o.upd_bp = 2;
-  o.upd_bq = 4;
+  const auto blocking = [s = strategy](core::ConvPlan& plan) {
+    plan.upd_strategy = s;
+    plan.upd_bp = 2;
+    plan.upd_bq = 4;
+  };
 
-  core::ConvLayer base(p, with_streams(o, false));
+  core::ConvLayer base(p, with_streams(p, o, false, blocking));
   const auto want = layer_update(base, pr);
   const core::ConvPlan def = base.plan();
 
@@ -149,7 +165,10 @@ TEST_P(StreamUpdPlanAxes, LoopOrderAndReduceJitAreBitwiseNeutral) {
       // An off-default unroll exercises a distinct generated chunk shape.
       if (reduce_jit) plan.upd_reduce_unroll = 2;
       for (const bool streams : {false, true}) {
-        ConvOptions oo = with_streams(o, streams);
+        // One plan, resolved branchy, for both legs: the caller's stream
+        // mode overrides the plan's, so the stream leg must replay streams.
+        ConvOptions oo = o;
+        oo.use_streams = streams;
         oo.plan = plan;
         core::ConvLayer layer(p, oo);
         const std::string what =
@@ -157,6 +176,7 @@ TEST_P(StreamUpdPlanAxes, LoopOrderAndReduceJitAreBitwiseNeutral) {
             core::upd_loop_order_name(order) +
             (reduce_jit ? "/jit-reduce" : "/scalar-reduce") +
             (streams ? "/stream" : "/branchy");
+        if (streams) EXPECT_GT(layer.upd_stream_calls(), 0u) << what;
         expect_bitwise(want, layer_update(layer, pr), what.c_str());
       }
     }
@@ -174,22 +194,22 @@ TEST(StreamEquivalence, UpdateMinibatchWithIdleThreads) {
   // threads > N: idle threads record ZERO records for their private copies;
   // the reduction must still match the branchy result bit-for-bit.
   ConvOptions o;
-  o.upd_strategy = UpdStrategy::minibatch;
   o.threads = 5;
   expect_upd_equivalence(core::make_conv(2, 16, 16, 6, 6, 3, 3, 1), o, 31,
-                         "minibatch idle threads");
+                         "minibatch idle threads",
+                         upd_strategy_edit(UpdStrategy::minibatch));
 }
 
 TEST(StreamEquivalence, UpdateHybridDegenerateRunsTaskStyle) {
   // N = 1 cannot form two minibatch groups: hybrid keeps its name but runs
   // (and records) task-style streams.
   ConvOptions o;
-  o.upd_strategy = UpdStrategy::hybrid;
   o.threads = 4;
   const auto p = core::make_conv(1, 16, 16, 6, 6, 3, 3, 1);
-  core::ConvLayer probe(p, o);
-  EXPECT_EQ(probe.upd_strategy_used(), UpdStrategy::hybrid);
-  expect_upd_equivalence(p, o, 32, "hybrid degenerate");
+  const PlanEdit hybrid = upd_strategy_edit(UpdStrategy::hybrid);
+  core::ConvLayer probe(p, with_plan(p, o, hybrid));
+  EXPECT_EQ(probe.plan().upd_strategy, UpdStrategy::hybrid);
+  expect_upd_equivalence(p, o, 32, "hybrid degenerate", hybrid);
 }
 
 TEST(StreamEquivalence, ForwardFusedReluAndBias) {
@@ -202,8 +222,8 @@ TEST(StreamEquivalence, ForwardFusedReluAndBias) {
     ConvOptions o;
     o.fuse = op;
     o.threads = 2;
-    core::ConvLayer branchy(p, with_streams(o, false));
-    core::ConvLayer stream(p, with_streams(o, true));
+    core::ConvLayer branchy(p, with_streams(p, o, false, {}));
+    core::ConvLayer stream(p, with_streams(p, o, true, {}));
 
     const int kch = branchy.kb() * branchy.vlen();
     const auto bias = xconv::testing::random_vec(kch, 41);
